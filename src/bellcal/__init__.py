@@ -34,7 +34,6 @@ from .clicks import (
     ClickKind,
     DEFAULT_PULSE_FREQ_HZ,
     SourceParams,
-    TruncationPolicy,
     expected_doubles_count,
     expected_rate,
     expected_singles_count,
@@ -57,6 +56,7 @@ from .prediction import (
     events_per_second,
     predict_bell,
     solve_lambda_for_bell,
+    solve_lambda_for_rate,
     sweep,
     visibility,
     visibility_linearized,
@@ -83,7 +83,6 @@ __all__ = [
     "RunCalibration",
     "SimConfig",
     "SourceParams",
-    "TruncationPolicy",
     "calibrate",
     "chsh_certificate",
     "estimate_eta",
@@ -101,6 +100,7 @@ __all__ = [
     "simulate_chsh",
     "simulate_pulses",
     "solve_lambda_for_bell",
+    "solve_lambda_for_rate",
     "solve_lambda_from_counts",
     "solve_lambda_from_doubles",
     "sweep",

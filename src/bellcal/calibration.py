@@ -12,15 +12,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
-from scipy.optimize import bisect
 
 from .clicks import (
     DEFAULT_PULSE_FREQ_HZ,
     SourceParams,
-    TruncationPolicy,
     expected_doubles_count,
     xi,
 )
@@ -70,9 +68,15 @@ class ExperimentRun:
                     f"run {self.run_id}: {name} must be a nonnegative integer, "
                     f"got {value}"
                 )
-        if self.duration_s <= 0.0:
+        if not 0.0 < self.duration_s < math.inf:
             raise ValueError(
-                f"run {self.run_id}: duration_s must be > 0, got {self.duration_s}"
+                f"run {self.run_id}: duration_s must be finite and > 0, "
+                f"got {self.duration_s}"
+            )
+        if self.bell_observed is not None and not math.isfinite(self.bell_observed):
+            raise ValueError(
+                f"run {self.run_id}: bell_observed must be finite, "
+                f"got {self.bell_observed}"
             )
 
 
@@ -183,21 +187,57 @@ def estimate_eta_per_run(runs: Sequence[ExperimentRun]) -> np.ndarray:
     )
 
 
+def _bisect_lambda(
+    excess: Callable[[float], float], tol: float, unreached: str
+) -> float:
+    """Root in lambda of a nondecreasing excess(lambda), given excess(0) <= 0
+    and tol > 0.
+
+    The bracket [0, hi] starts at hi = 1 and doubles its upper end until
+    excess(hi) >= 0; bisection then halves it until its width drops below
+    tol. Raises BracketError, with ``unreached`` as the reason, when hi
+    passes LAMBDA_BRACKET_CEILING, and ValueError when excess is NaN.
+    """
+
+    def checked(lam: float) -> float:
+        value = excess(lam)
+        if math.isnan(value):
+            raise ValueError(f"solver function is NaN at lambda = {lam!r}")
+        return value
+
+    if checked(0.0) == 0.0:
+        return 0.0
+    hi = 1.0
+    while checked(hi) < 0.0:
+        hi *= 2.0
+        if hi > LAMBDA_BRACKET_CEILING:
+            raise BracketError(
+                f"{unreached} for lambda up to {LAMBDA_BRACKET_CEILING:.0f}"
+            )
+    lo, width = 0.0, hi
+    while True:
+        width /= 2.0
+        mid = lo + width
+        value = checked(mid)
+        if value < 0.0:
+            lo = mid
+        if value == 0.0 or width < tol:
+            return mid
+
+
 def solve_lambda_from_doubles(
     doubles: float,
     duration_s: float,
     eta: float,
     pulse_freq_hz: float = DEFAULT_PULSE_FREQ_HZ,
-    policy: TruncationPolicy | None = None,
     tol: float = 1e-10,
 ) -> float:
     """Mean pairs per pulse whose expected double count equals ``doubles``.
 
     The expected double count is strictly increasing in lambda at fixed
-    eta > 0, so the root is unique. The bracket starts at [0, 1] and doubles
-    its upper end until the predicted count exceeds the observation; bisection
-    then converges to |dlambda| < tol. The count may be fractional (an
-    expected value rather than a tally).
+    eta > 0, so the root is unique; bracketing from [0, 1] and bisection
+    converge to |dlambda| < tol. The count may be fractional (an expected
+    value rather than a tally).
 
     Raises BracketError if no bracket exists below the lambda ceiling, which
     happens when the observation exceeds every achievable count (more doubles
@@ -205,37 +245,24 @@ def solve_lambda_from_doubles(
     """
     if not 0.0 < eta <= 1.0:
         raise ValueError(f"eta must be in (0, 1], got {eta}")
-    if tol <= 0.0:
+    if not tol > 0.0:
         raise ValueError(f"tol must be > 0, got {tol}")
-    if doubles < 0.0:
-        raise ValueError(f"doubles must be >= 0, got {doubles}")
-    if duration_s <= 0.0:
-        raise ValueError(f"duration_s must be > 0, got {duration_s}")
-    if doubles == 0.0:
-        return 0.0
+    if not 0.0 <= doubles < math.inf:
+        raise ValueError(f"doubles must be finite and >= 0, got {doubles}")
+    if not 0.0 < duration_s < math.inf:
+        raise ValueError(f"duration_s must be finite and > 0, got {duration_s}")
 
-    def gap(lam: float) -> float:
+    def excess(lam: float) -> float:
         params = SourceParams(eta, lam, pulse_freq_hz)
-        return expected_doubles_count(params, duration_s, policy) - doubles
+        return expected_doubles_count(params, duration_s) - doubles
 
-    hi = 1.0
-    while gap(hi) < 0.0:
-        hi *= 2.0
-        if hi > LAMBDA_BRACKET_CEILING:
-            raise BracketError(
-                f"expected doubles never reach {doubles} for lambda up to "
-                f"{LAMBDA_BRACKET_CEILING:.0f}"
-            )
-    if gap(hi) == 0.0:
-        return hi
-    return float(bisect(gap, 0.0, hi, xtol=tol))
+    return _bisect_lambda(excess, tol, f"expected doubles never reach {doubles}")
 
 
 def solve_lambda_from_counts(
     run: ExperimentRun,
     eta: float,
     pulse_freq_hz: float = DEFAULT_PULSE_FREQ_HZ,
-    policy: TruncationPolicy | None = None,
     tol: float = 1e-10,
 ) -> float:
     """Recover the mean pairs per pulse that reproduces a run's double count.
@@ -245,7 +272,7 @@ def solve_lambda_from_counts(
     """
     try:
         return solve_lambda_from_doubles(
-            run.doubles_observed, run.duration_s, eta, pulse_freq_hz, policy, tol
+            run.doubles_observed, run.duration_s, eta, pulse_freq_hz, tol
         )
     except BracketError as exc:
         raise BracketError(f"run {run.run_id}: {exc}") from None
@@ -313,7 +340,6 @@ def calibrate(
     runs: Sequence[ExperimentRun],
     cert: BellCertificate | None = None,
     pulse_freq_hz: float = DEFAULT_PULSE_FREQ_HZ,
-    policy: TruncationPolicy | None = None,
     tol: float = 1e-10,
 ) -> CalibrationReport:
     """Run the full calibration pipeline on a set of measurement runs.
@@ -332,8 +358,7 @@ def calibrate(
     ordered = sorted(runs, key=lambda r: r.run_id)
     # solve_lambda_from_counts errors already name the offending run
     lambdas = [
-        solve_lambda_from_counts(run, eta_hat, pulse_freq_hz, policy, tol)
-        for run in ordered
+        solve_lambda_from_counts(run, eta_hat, pulse_freq_hz, tol) for run in ordered
     ]
     slope, intercept, rmse = fit_linear(
         [(lam, run.bell_observed) for lam, run in zip(lambdas, ordered)]

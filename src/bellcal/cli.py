@@ -26,14 +26,12 @@ from pathlib import Path
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.optimize import bisect
 
 from .calibration import (
     BellCertificate,
     BracketError,
     CalibrationReport,
     ExperimentRun,
-    LAMBDA_BRACKET_CEILING,
     ModelError,
     PhysicalFit,
     RunCalibration,
@@ -44,7 +42,6 @@ from .clicks import (
     ClickKind,
     DEFAULT_PULSE_FREQ_HZ,
     SourceParams,
-    TruncationPolicy,
     expected_rate,
 )
 from .montecarlo import SimConfig, simulate_chsh, simulate_pulses
@@ -53,6 +50,7 @@ from .prediction import (
     events_per_second,
     predict_bell,
     solve_lambda_for_bell,
+    solve_lambda_for_rate,
     sweep,
     visibility,
 )
@@ -82,32 +80,22 @@ class ToolConfig:
     """Tool-level knobs; everything has a working default."""
 
     pulse_freq_hz: float = DEFAULT_PULSE_FREQ_HZ
-    tail_tolerance: float = 1e-12
-    min_terms: int = 20
     lambda_tol: float = 1e-10
     bell_tol: float = 1e-8
     decimals: int = 4
     certificate: BellCertificate = field(default_factory=chsh_certificate)
 
     def __post_init__(self) -> None:
-        for name in ("pulse_freq_hz", "tail_tolerance", "lambda_tol", "bell_tol"):
+        for name in ("pulse_freq_hz", "lambda_tol", "bell_tol"):
             value = getattr(self, name)
-            if not value > 0.0:
-                raise ValueError(f"{name} must be > 0, got {value}")
-        if self.min_terms < 1:
-            raise ValueError(f"min_terms must be >= 1, got {self.min_terms}")
+            if not 0.0 < value < math.inf:
+                raise ValueError(f"{name} must be finite and > 0, got {value}")
         if self.decimals < 0:
             raise ValueError(f"decimals must be >= 0, got {self.decimals}")
-
-    @property
-    def policy(self) -> TruncationPolicy:
-        return TruncationPolicy(self.tail_tolerance, self.min_terms)
 
 
 _CONFIG_KEYS = (
     "pulse_freq_hz",
-    "tail_tolerance",
-    "min_terms",
     "lambda_tol",
     "bell_tol",
     "decimals",
@@ -374,43 +362,15 @@ def _parse_float_list(text: str, flag: str) -> list[float]:
         if not part:
             continue
         try:
-            values.append(float(part))
+            value = float(part)
         except ValueError:
             raise ValueError(f"{flag}: {part!r} is not a number") from None
+        if not math.isfinite(value):
+            raise ValueError(f"{flag}: {part!r} is not a finite number")
+        values.append(value)
     if not values:
         raise ValueError(f"{flag}: no values given")
     return values
-
-
-def _solve_lambda_for_rate(
-    rate: float, eta: float, cfg: ToolConfig
-) -> float:
-    """Invert events_per_second(lambda) for a target double-click rate."""
-    if rate < 0.0:
-        raise ValueError(f"target rate must be >= 0, got {rate}")
-    if rate == 0.0:
-        return 0.0
-    if rate >= cfg.pulse_freq_hz:
-        raise InfeasibleTargetError(
-            f"target rate {rate} events/s is not below the pulse "
-            f"frequency {cfg.pulse_freq_hz}"
-        )
-
-    def gap(lam: float) -> float:
-        params = SourceParams(eta, lam, cfg.pulse_freq_hz)
-        return events_per_second(params, cfg.policy) - rate
-
-    hi = 1.0
-    while gap(hi) < 0.0:
-        hi *= 2.0
-        if hi > LAMBDA_BRACKET_CEILING:
-            raise BracketError(
-                f"no lambda below {LAMBDA_BRACKET_CEILING:.0f} reaches "
-                f"{rate} events/s"
-            )
-    if gap(hi) == 0.0:
-        return hi
-    return float(bisect(gap, 0.0, hi, xtol=cfg.lambda_tol))
 
 
 def cmd_calibrate(args: argparse.Namespace) -> int:
@@ -425,7 +385,6 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
         runs,
         cert=cfg.certificate,
         pulse_freq_hz=cfg.pulse_freq_hz,
-        policy=cfg.policy,
         tol=cfg.lambda_tol,
     )
 
@@ -498,7 +457,10 @@ def cmd_predict(args: argparse.Namespace) -> int:
         for rate in rates:
             if rate < 0.0:
                 raise ValueError(f"--rates: rate must be >= 0, got {rate}")
-        lambdas = [_solve_lambda_for_rate(rate, eta, cfg) for rate in rates]
+        lambdas = [
+            solve_lambda_for_rate(rate, eta, cfg.pulse_freq_hz, cfg.lambda_tol)
+            for rate in rates
+        ]
 
     columns = ["lambda", "visibility", "bell", "events_per_second"]
     rows: list[dict[str, object]] = []
@@ -507,9 +469,9 @@ def cmd_predict(args: argparse.Namespace) -> int:
         rows.append(
             {
                 "lambda": lam,
-                "visibility": visibility(params, cfg.policy),
-                "bell": predict_bell(report.fit, params, certificate, cfg.policy),
-                "events_per_second": events_per_second(params, cfg.policy),
+                "visibility": visibility(params),
+                "bell": predict_bell(report.fit, params, certificate),
+                "events_per_second": events_per_second(params),
             }
         )
     _emit(_render(args.format, columns, rows, cfg.decimals), args.out)
@@ -532,7 +494,6 @@ def cmd_extrapolate(args: argparse.Namespace) -> int:
                 target,
                 eta,
                 cert=certificate,
-                policy=cfg.policy,
                 tol=cfg.bell_tol,
                 allow_below_classical=args.allow_below_classical,
             )
@@ -552,7 +513,7 @@ def cmd_extrapolate(args: argparse.Namespace) -> int:
             {
                 "bell_target": target,
                 "lambda": lam,
-                "events_per_second": events_per_second(params, cfg.policy),
+                "events_per_second": events_per_second(params),
                 "note": "",
             }
         )
@@ -578,7 +539,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         report.fit.eta_used,
         grid,
         cert=certificate,
-        policy=cfg.policy,
         pulse_freq_hz=pulse_freq_hz,
     )
     columns = ["lambda", "visibility", "bell", "events_per_second"]
@@ -606,7 +566,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     n = float(sim_cfg.n_pulses)
 
     def count_row(name: str, observed: int, kind: ClickKind) -> dict[str, object]:
-        rate = expected_rate(params, kind, cfg.policy)
+        rate = expected_rate(params, kind)
         expected = n * rate
         spread = math.sqrt(n * rate * (1.0 - rate))
         z = (observed - expected) / spread if spread > 0.0 else math.nan
@@ -618,7 +578,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         count_row("entangled", tally.entangled_coincidences, ClickKind.ENTANGLED),
     ]
     if params.lambda_mean > 0.0:
-        vis = visibility(params, cfg.policy)
+        vis = visibility(params)
         if tally.doubles > 0:
             v_emp = tally.entangled_coincidences / tally.doubles
             v_spread = math.sqrt(vis * (1.0 - vis) / tally.doubles)

@@ -12,8 +12,8 @@ detected photon lands on one of its party's two detectors with probability
   the same pair (the only double clicks carrying genuine correlations).
 
 This module provides the per-k outcome probabilities, their Poisson-averaged
-per-pulse rates with an auditable series cutoff, and the visibility slope
-factor xi(eta) used by the calibration and prediction layers.
+per-pulse rates in closed form, and the visibility slope factor xi(eta) used
+by the calibration and prediction layers.
 """
 
 from __future__ import annotations
@@ -21,10 +21,6 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-
-import numpy as np
-from scipy.special import gammaln
-from scipy.stats import poisson as _poisson
 
 DEFAULT_PULSE_FREQ_HZ = 8.0e7
 
@@ -43,8 +39,8 @@ class SourceParams:
 
     Args:
         eta: per-photon detection efficiency including all losses, in [0, 1].
-        lambda_mean: mean pairs per pulse (pump-power proxy), >= 0.
-        pulse_freq_hz: laser repetition rate in Hz.
+        lambda_mean: mean pairs per pulse (pump-power proxy), finite, >= 0.
+        pulse_freq_hz: laser repetition rate in Hz, finite, > 0.
     """
 
     eta: float
@@ -52,40 +48,15 @@ class SourceParams:
     pulse_freq_hz: float = DEFAULT_PULSE_FREQ_HZ
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.eta <= 1.0:
-            raise ValueError(f"eta must be in [0, 1], got {self.eta}")
-        if self.lambda_mean < 0.0:
-            raise ValueError(f"lambda_mean must be >= 0, got {self.lambda_mean}")
-        if self.pulse_freq_hz <= 0.0:
-            raise ValueError(f"pulse_freq_hz must be > 0, got {self.pulse_freq_hz}")
-
-
-@dataclass(frozen=True)
-class TruncationPolicy:
-    """Cutoff control for the Poisson-averaged rate series."""
-
-    tail_tolerance: float = 1e-12
-    min_terms: int = 20
-
-    def __post_init__(self) -> None:
-        if not 0.0 < self.tail_tolerance < 1.0:
+        _check_eta(self.eta)
+        if not 0.0 <= self.lambda_mean < math.inf:
             raise ValueError(
-                f"tail_tolerance must be in (0, 1), got {self.tail_tolerance}"
+                f"lambda_mean must be finite and >= 0, got {self.lambda_mean}"
             )
-        if self.min_terms < 1:
-            raise ValueError(f"min_terms must be >= 1, got {self.min_terms}")
-
-    def cutoff(self, lambda_mean: float) -> int:
-        """Smallest K >= min_terms whose neglected Poisson tail is < tail_tolerance."""
-        guess = _poisson.isf(self.tail_tolerance, lambda_mean)
-        k = self.min_terms
-        if math.isfinite(guess):
-            k = max(self.min_terms, int(guess) - 2)
-        while _poisson.sf(k, lambda_mean) >= self.tail_tolerance:
-            k += 1
-        while k > self.min_terms and _poisson.sf(k - 1, lambda_mean) < self.tail_tolerance:
-            k -= 1
-        return k
+        if not 0.0 < self.pulse_freq_hz < math.inf:
+            raise ValueError(
+                f"pulse_freq_hz must be finite and > 0, got {self.pulse_freq_hz}"
+            )
 
 
 def _check_eta(eta: float) -> None:
@@ -107,7 +78,7 @@ def poisson_pmf(k: int, lambda_mean: float) -> float:
     if lambda_mean == 0.0:
         return 1.0 if k == 0 else 0.0
     # log-space keeps k >~ 170 from overflowing the factorial
-    return float(math.exp(k * math.log(lambda_mean) - lambda_mean - gammaln(k + 1.0)))
+    return math.exp(k * math.log(lambda_mean) - lambda_mean - math.lgamma(k + 1.0))
 
 
 def p_single(eta: float, k: int) -> float:
@@ -118,22 +89,13 @@ def p_single(eta: float, k: int) -> float:
 
         4 (1-eta)^k * sum_{j=1..k} C(k,j) eta^j (1-eta)^(k-j) (1/2)^j
 
-    The factor 4 counts the two sides times the two detectors per side.
+    The factor 4 counts the two sides times the two detectors per side. The
+    binomial theorem sums the j-series to (1-eta/2)^k - (1-eta)^k.
     """
     _check_eta(eta)
     _check_pairs(k)
-    if eta == 0.0 or eta == 1.0:
-        return 0.0
-    j = np.arange(1, k + 1, dtype=float)
-    log_terms = (
-        gammaln(k + 1.0)
-        - gammaln(j + 1.0)
-        - gammaln(k - j + 1.0)
-        + j * math.log(eta / 2.0)
-        + (k - j) * math.log1p(-eta)
-    )
-    inner = float(np.exp(log_terms).sum())
-    return 4.0 * math.exp(k * math.log1p(-eta)) * inner
+    q = 1.0 - eta
+    return 4.0 * q**k * ((1.0 - eta / 2.0) ** k - q**k)
 
 
 def p_double(eta: float, k: int) -> float:
@@ -150,70 +112,50 @@ def p_ent(eta: float, k: int) -> float:
     return k * eta * eta * (1.0 - eta) ** (2 * (k - 1))
 
 
-def _pmf_terms(lambda_mean: float, k_max: int) -> np.ndarray:
-    """Poisson pmf over k = 1..k_max, evaluated in log-space."""
-    k = np.arange(1, k_max + 1, dtype=float)
-    return np.exp(k * math.log(lambda_mean) - lambda_mean - gammaln(k + 1.0))
-
-
-def _click_probs(eta: float, kind: ClickKind, k_max: int) -> np.ndarray:
-    """Outcome probabilities over k = 1..k_max for one click kind."""
-    k = np.arange(1, k_max + 1, dtype=float)
-    q = 1.0 - eta
-    if kind is ClickKind.DOUBLE:
-        return (1.0 - q**k) ** 2
-    if kind is ClickKind.ENTANGLED:
-        return k * eta * eta * q ** (2.0 * (k - 1.0))
-    # binomial identity: sum_{j>=1} C(k,j) (eta/2)^j q^(k-j) = (1-eta/2)^k - q^k
-    return 4.0 * q**k * ((1.0 - eta / 2.0) ** k - q**k)
-
-
-def expected_rate(
-    params: SourceParams,
-    kind: ClickKind,
-    policy: TruncationPolicy | None = None,
-) -> float:
+def expected_rate(params: SourceParams, kind: ClickKind) -> float:
     """Per-pulse probability of one click kind, averaged over the pair number.
 
-    Sums pmf(k) * P_kind(eta, k) for k = 1..K, with K chosen by the policy so
-    the neglected tail mass stays below tail_tolerance. Returns 0 at
-    lambda_mean = 0 (no pairs, no clicks).
+    The sum of pmf(k) * P_kind(eta, k) over all k follows from the Poisson
+    generating function E[z^k] = exp(-lambda (1 - z)). With a = lambda * eta:
+
+        single    = 4 (e^{-a(3-eta)/2} - e^{-a(2-eta)})
+        double    = 1 - 2 e^{-a} + e^{-a(2-eta)}
+        entangled = a eta e^{-a(2-eta)}
+
+    They are evaluated through expm1 with every exponent <= 0, so nothing
+    cancels at small lambda and nothing overflows at large lambda. Returns 0
+    at lambda_mean = 0 (no pairs, no clicks).
     """
-    policy = TruncationPolicy() if policy is None else policy
-    lam = params.lambda_mean
-    if lam == 0.0:
-        return 0.0
-    k_max = policy.cutoff(lam)
-    return float(np.dot(_pmf_terms(lam, k_max), _click_probs(params.eta, kind, k_max)))
+    eta = params.eta
+    a = params.lambda_mean * eta
+    if kind is ClickKind.SINGLE:
+        return -4.0 * math.exp(-a * (3.0 - eta) / 2.0) * math.expm1(-a * (1.0 - eta) / 2.0)
+    # probability that no photon of the pulse is detected
+    dark = math.exp(-a * (2.0 - eta))
+    if kind is ClickKind.DOUBLE:
+        return math.expm1(-a) ** 2 - dark * math.expm1(-a * eta)
+    return a * eta * dark
 
 
 def _check_duration(duration_s: float) -> None:
-    if duration_s <= 0.0:
-        raise ValueError(f"duration_s must be > 0, got {duration_s}")
+    if not 0.0 < duration_s < math.inf:
+        raise ValueError(f"duration_s must be finite and > 0, got {duration_s}")
 
 
-def expected_singles_count(
-    params: SourceParams,
-    duration_s: float,
-    policy: TruncationPolicy | None = None,
-) -> float:
+def expected_singles_count(params: SourceParams, duration_s: float) -> float:
     """Expected single clicks over duration_s seconds: f * t * rate(Single)."""
     _check_duration(duration_s)
-    return params.pulse_freq_hz * duration_s * expected_rate(params, ClickKind.SINGLE, policy)
+    return params.pulse_freq_hz * duration_s * expected_rate(params, ClickKind.SINGLE)
 
 
-def expected_doubles_count(
-    params: SourceParams,
-    duration_s: float,
-    policy: TruncationPolicy | None = None,
-) -> float:
+def expected_doubles_count(params: SourceParams, duration_s: float) -> float:
     """Expected double clicks over duration_s seconds: f * t * rate(Double).
 
     Strictly increasing in lambda_mean at fixed eta > 0, which is what makes
     the count-to-lambda inversion in the calibration layer well posed.
     """
     _check_duration(duration_s)
-    return params.pulse_freq_hz * duration_s * expected_rate(params, ClickKind.DOUBLE, policy)
+    return params.pulse_freq_hz * duration_s * expected_rate(params, ClickKind.DOUBLE)
 
 
 def xi(eta: float) -> float:
@@ -225,9 +167,4 @@ def xi(eta: float) -> float:
     _check_eta(eta)
     if eta == 0.0:
         raise ValueError("xi is undefined at eta = 0 (division by zero)")
-    ratio = (p_double(eta, 2) - p_ent(eta, 2)) / (eta * eta)
-    closed = 2.0 - eta * eta
-    # the two forms are one algebraic identity; disagreement means a regression
-    if not math.isclose(ratio, closed, rel_tol=1e-9, abs_tol=1e-9):
-        raise RuntimeError(f"xi forms disagree: ratio {ratio!r} vs closed {closed!r}")
-    return ratio
+    return (p_double(eta, 2) - p_ent(eta, 2)) / (eta * eta)

@@ -30,9 +30,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import poisson as _poisson
 
-from .clicks import SourceParams
+from .clicks import SourceParams, poisson_pmf
 
 
 @dataclass(frozen=True)
@@ -92,8 +91,12 @@ def _block_rng(seed: int, block: int) -> np.random.Generator:
 def _poisson_cdf_table(lambda_mean: float) -> np.ndarray:
     # table covers all but < 1e-15 of the mass; draws beyond it are clipped
     # to the last bin by searchsorted, which cannot bias any paper regime
-    kmax = max(20, int(_poisson.isf(1e-15, lambda_mean)) + 1)
-    return _poisson.cdf(np.arange(kmax + 1), lambda_mean)
+    top = int(lambda_mean + 20.0 * math.sqrt(lambda_mean)) + 40
+    pmf = np.array([poisson_pmf(k, lambda_mean) for k in range(top + 1)])
+    # upper tails P(K > k), summed from the far end so they stay accurate
+    tail = np.cumsum(pmf[::-1])[::-1][1:]
+    kmax = max(20, int(np.argmax(tail <= 1e-15)) + 1)
+    return np.cumsum(pmf[: kmax + 1])
 
 
 # ideal CHSH correlators at the optimal angles, one per setting pair;

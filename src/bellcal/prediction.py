@@ -14,22 +14,18 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from scipy.optimize import bisect
-
 from .calibration import (
     BellCertificate,
-    BracketError,
-    LAMBDA_BRACKET_CEILING,
     ModelAssumptionError,
     ModelError,
     PhysicalFit,
+    _bisect_lambda,
     chsh_certificate,
 )
 from .clicks import (
     ClickKind,
     DEFAULT_PULSE_FREQ_HZ,
     SourceParams,
-    TruncationPolicy,
     expected_rate,
     xi,
 )
@@ -49,7 +45,7 @@ class PredictionPoint:
     events_per_second: float
 
 
-def visibility(params: SourceParams, policy: TruncationPolicy | None = None) -> float:
+def visibility(params: SourceParams) -> float:
     """Fraction of double clicks that are genuine entangled coincidences.
 
     Ratio of the entangled rate to the double rate. Both rates scale as
@@ -60,11 +56,11 @@ def visibility(params: SourceParams, policy: TruncationPolicy | None = None) -> 
         raise ValueError("visibility requires eta > 0")
     if params.lambda_mean == 0.0:
         return 1.0
-    doubles = expected_rate(params, ClickKind.DOUBLE, policy)
+    doubles = expected_rate(params, ClickKind.DOUBLE)
     if doubles == 0.0:
         # both rates underflow for astronomically small lambda; use the limit
         return 1.0
-    return expected_rate(params, ClickKind.ENTANGLED, policy) / doubles
+    return expected_rate(params, ClickKind.ENTANGLED) / doubles
 
 
 def visibility_linearized(eta: float, lambda_mean: float) -> float:
@@ -103,7 +99,6 @@ def predict_bell(
     fit: PhysicalFit,
     params: SourceParams,
     cert: BellCertificate | None = None,
-    policy: TruncationPolicy | None = None,
 ) -> float:
     """Observed Bell value at the given pump power.
 
@@ -112,15 +107,41 @@ def predict_bell(
     """
     cert = chsh_certificate() if cert is None else cert
     _check_fit_consistency(fit, cert, params.eta)
-    vis = visibility(params, policy)
+    vis = visibility(params)
     return fit.alpha * cert.tsirelson_bound * vis - fit.beta
 
 
-def events_per_second(
-    params: SourceParams, policy: TruncationPolicy | None = None
-) -> float:
+def events_per_second(params: SourceParams) -> float:
     """Double-click event rate in events per second: f * rate(Double)."""
-    return params.pulse_freq_hz * expected_rate(params, ClickKind.DOUBLE, policy)
+    return params.pulse_freq_hz * expected_rate(params, ClickKind.DOUBLE)
+
+
+def solve_lambda_for_rate(
+    rate: float,
+    eta: float,
+    pulse_freq_hz: float = DEFAULT_PULSE_FREQ_HZ,
+    tol: float = 1e-10,
+) -> float:
+    """Pump power at which events_per_second equals a target rate.
+
+    The double-click rate rises from 0 at lambda = 0 towards the pulse
+    frequency, so the root is unique. Raises InfeasibleTargetError for
+    rates at or above the pulse frequency.
+    """
+    if not 0.0 <= rate < math.inf:
+        raise ValueError(f"target rate must be finite and >= 0, got {rate}")
+    if not tol > 0.0:
+        raise ValueError(f"tol must be > 0, got {tol}")
+    if rate >= pulse_freq_hz:
+        raise InfeasibleTargetError(
+            f"target rate {rate} events/s is not below the pulse "
+            f"frequency {pulse_freq_hz}"
+        )
+
+    def excess(lam: float) -> float:
+        return events_per_second(SourceParams(eta, lam, pulse_freq_hz)) - rate
+
+    return _bisect_lambda(excess, tol, f"events/s never reach {rate}")
 
 
 def solve_lambda_for_bell(
@@ -128,7 +149,6 @@ def solve_lambda_for_bell(
     target_bell: float,
     eta: float,
     cert: BellCertificate | None = None,
-    policy: TruncationPolicy | None = None,
     tol: float = 1e-8,
     allow_below_classical: bool = False,
 ) -> float:
@@ -142,8 +162,10 @@ def solve_lambda_for_bell(
     lambda ceiling (B(lambda) approaches -beta from above).
     """
     cert = chsh_certificate() if cert is None else cert
-    if tol <= 0.0:
+    if not tol > 0.0:
         raise ValueError(f"tol must be > 0, got {tol}")
+    if not math.isfinite(target_bell):
+        raise ValueError(f"target Bell value must be finite, got {target_bell}")
     intercept = fit.intercept_b
     if target_bell > intercept:
         raise InfeasibleTargetError(
@@ -155,25 +177,17 @@ def solve_lambda_for_bell(
             f"{cert.classical_bound}; such targets need the explicit override"
         )
 
-    def gap(lam: float) -> float:
+    def excess(lam: float) -> float:
         params = SourceParams(eta, lam, DEFAULT_PULSE_FREQ_HZ)
-        return predict_bell(fit, params, cert, policy) - target_bell
+        return target_bell - predict_bell(fit, params, cert)
 
-    if gap(0.0) == 0.0:
-        return 0.0
-    hi = 1.0
-    while gap(hi) > 0.0:
-        hi *= 2.0
-        if hi > LAMBDA_BRACKET_CEILING:
-            raise BracketError(
-                f"predicted Bell value never falls to {target_bell} for lambda "
-                f"up to {LAMBDA_BRACKET_CEILING:.0f} (floor is {-fit.beta:.6f})"
-            )
-    if gap(hi) == 0.0:
-        return hi
     # converge well inside tol so the returned power reproduces the target
     # Bell value to comparable accuracy (the line's slope exceeds 1)
-    return float(bisect(gap, 0.0, hi, xtol=tol / 16.0))
+    return _bisect_lambda(
+        excess,
+        tol / 16.0,
+        f"predicted Bell value (floor {-fit.beta:.6f}) never falls to {target_bell}",
+    )
 
 
 def sweep(
@@ -181,7 +195,6 @@ def sweep(
     eta: float,
     lambda_grid: Sequence[float],
     cert: BellCertificate | None = None,
-    policy: TruncationPolicy | None = None,
     pulse_freq_hz: float = DEFAULT_PULSE_FREQ_HZ,
 ) -> tuple[PredictionPoint, ...]:
     """Forward-model curve over a strictly increasing grid of lambda values.
@@ -202,9 +215,9 @@ def sweep(
         points.append(
             PredictionPoint(
                 lambda_mean=lam,
-                visibility=visibility(params, policy),
-                bell_value=predict_bell(fit, params, cert, policy),
-                events_per_second=events_per_second(params, policy),
+                visibility=visibility(params),
+                bell_value=predict_bell(fit, params, cert),
+                events_per_second=events_per_second(params),
             )
         )
     return tuple(points)

@@ -6,13 +6,16 @@ failure message points straight at the row that drifted.
 """
 
 import math
+import os
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import bellcal
 from bellcal import (
     ClickKind,
     SimConfig,
@@ -175,7 +178,12 @@ def test_11_simulation_reproducibility(tmp_path):
         "--eta", "0.1134", "--lambda", "0.0849",
         "--pulses", "200000", "--seed", "6",
     ]
-    first = subprocess.run(args, capture_output=True, cwd=tmp_path)
-    second = subprocess.run(args, capture_output=True, cwd=tmp_path)
+    # cwd=tmp_path breaks a relative PYTHONPATH such as "src"; pass the
+    # package root absolutely
+    root = str(Path(bellcal.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, (root, os.environ.get("PYTHONPATH"))))
+    env = {**os.environ, "PYTHONPATH": path}
+    first = subprocess.run(args, capture_output=True, cwd=tmp_path, env=env, timeout=120)
+    second = subprocess.run(args, capture_output=True, cwd=tmp_path, env=env, timeout=120)
     assert first.returncode == 0
     assert first.stdout == second.stdout

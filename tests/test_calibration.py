@@ -22,6 +22,7 @@ from bellcal import (
     solve_lambda_from_doubles,
     to_physical,
 )
+from bellcal.calibration import _bisect_lambda
 
 # independently computed values for the bundled seven-run dataset
 REFERENCE_ETA = 0.11340251881660635
@@ -57,6 +58,13 @@ class TestExperimentRun:
     def test_bell_optional(self):
         run = ExperimentRun(3, 10, 20, 1.0)
         assert run.bell_observed is None
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_duration_and_bell_rejected(self, bad):
+        with pytest.raises(ValueError, match="run 4: duration_s"):
+            ExperimentRun(4, 10, 20, bad)
+        with pytest.raises(ValueError, match="run 4: bell_observed"):
+            ExperimentRun(4, 10, 20, 1.0, bad)
 
 
 class TestBellCertificate:
@@ -151,6 +159,23 @@ class TestSolveLambda:
         run = ExperimentRun(1, 10, 0, 1.0)
         with pytest.raises(ValueError):
             solve_lambda_from_counts(run, 0.5, tol=0.0)
+        with pytest.raises(ValueError):
+            solve_lambda_from_counts(run, 0.5, tol=math.nan)
+
+    def test_nan_in_the_solver_is_an_error_not_zero_power(self):
+        for nan_at in (0.0, 1.0, 0.5):
+            def excess(lam, nan_at=nan_at):
+                return math.nan if lam == nan_at else lam - 0.3
+
+            with pytest.raises(ValueError, match="NaN"):
+                _bisect_lambda(excess, 1e-10, "never")
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_inputs_rejected(self, bad):
+        with pytest.raises(ValueError, match="doubles"):
+            solve_lambda_from_doubles(bad, 10.0, 0.5)
+        with pytest.raises(ValueError, match="duration_s"):
+            solve_lambda_from_doubles(1000.0, bad, 0.5)
 
 
 class TestFitLinear:

@@ -1,21 +1,34 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import bellcal
 from bellcal import SourceParams, predict_bell
 from bellcal.cli import bundled_runs_path, read_report
 
 RUN_HEADER = "run_id,doubles_observed,singles_observed,duration_s,bell_observed"
 
+# the CLI runs with cwd=tmp_path, where a relative PYTHONPATH entry such as
+# "src" no longer resolves, so the child gets the package root absolutely
+PACKAGE_ROOT = str(Path(bellcal.__file__).resolve().parent.parent)
+CLI_ENV = {
+    **os.environ,
+    "PYTHONPATH": os.pathsep.join(filter(None, (PACKAGE_ROOT, os.environ.get("PYTHONPATH")))),
+}
 
-def run_cli(*args, cwd):
+
+def run_cli(*args, cwd, timeout=60):
     return subprocess.run(
         [sys.executable, "-m", "bellcal", *args],
         capture_output=True,
         text=True,
         cwd=cwd,
+        env=CLI_ENV,
+        timeout=timeout,
     )
 
 
@@ -89,6 +102,14 @@ class TestCalibrate:
         assert result.returncode == 2
         assert "flux" in result.stderr
 
+    @pytest.mark.parametrize("row", ["1,1000,30000,inf,2.6", "1,1000,30000,10,nan"])
+    def test_non_finite_cell_names_the_line(self, tmp_path, row):
+        runs = tmp_path / "runs.csv"
+        runs.write_text(RUN_HEADER + "\n2,2000,31000,10,2.5\n" + row + "\n")
+        result = run_cli("calibrate", "--runs", "runs.csv", cwd=tmp_path, timeout=20)
+        assert result.returncode == 2
+        assert ":3:" in result.stderr
+
     def test_missing_bell_column_is_a_model_error(self, tmp_path):
         runs = tmp_path / "runs.csv"
         runs.write_text(
@@ -142,6 +163,19 @@ class TestPredict:
         assert result.returncode == 2
         assert "lambda" in result.stderr
 
+    @pytest.mark.parametrize(
+        "flag, value",
+        [("--lambdas", "inf"), ("--lambdas", "nan"), ("--rates", "nan"), ("--rates", "inf")],
+    )
+    def test_non_finite_value_names_the_flag(self, report_dir, flag, value):
+        # --lambdas inf used to hang and --lambdas nan used to exit 0
+        result = run_cli(
+            "predict", "--report", "calibration_report.json",
+            flag, f"0.01,{value}", cwd=report_dir, timeout=20,
+        )
+        assert result.returncode == 2
+        assert flag in result.stderr
+
     def test_lambdas_and_rates_exclusive(self, report_dir):
         result = run_cli(
             "predict", "--report", "calibration_report.json",
@@ -170,6 +204,16 @@ class TestExtrapolate:
         assert rows[1]["lambda"] is None
         assert rows[1]["events_per_second"] is None
         assert rows[1]["note"].startswith("infeasible:")
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_target_names_the_flag(self, report_dir, value):
+        result = run_cli(
+            "extrapolate", "--report", "calibration_report.json",
+            "--targets", f"2.5,{value}", "--allow-below-classical",
+            cwd=report_dir, timeout=20,
+        )
+        assert result.returncode == 2
+        assert "--targets" in result.stderr
 
     def test_target_at_intercept_needs_no_power(self, report_dir, report_path):
         payload = json.loads(report_path.read_text())
@@ -268,15 +312,18 @@ class TestConfig:
         assert result.returncode == 2
         assert "not valid JSON" in result.stderr
 
-    def test_unknown_key_named(self, report_dir, tmp_path):
+    # tail_tolerance and min_terms tuned a series cutoff the closed-form
+    # rates no longer have
+    @pytest.mark.parametrize("key", ["frobnicate", "tail_tolerance", "min_terms"])
+    def test_unknown_key_named(self, report_dir, tmp_path, key):
         cfg = tmp_path / "cfg.json"
-        cfg.write_text('{"frobnicate": 1}')
+        cfg.write_text(json.dumps({key: 1}))
         result = run_cli(
             "predict", "--report", str(report_dir / "calibration_report.json"),
             "--lambdas", "0.1", "--config", str(cfg), cwd=tmp_path,
         )
         assert result.returncode == 2
-        assert "frobnicate" in result.stderr
+        assert key in result.stderr
 
     def test_decimals_control_formatting(self, report_dir, tmp_path):
         cfg = tmp_path / "cfg.json"

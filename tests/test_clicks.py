@@ -6,7 +6,6 @@ import pytest
 from bellcal import (
     ClickKind,
     SourceParams,
-    TruncationPolicy,
     expected_doubles_count,
     expected_rate,
     expected_singles_count,
@@ -170,34 +169,33 @@ class TestExpectedRate:
             expected_doubles_count(SourceParams(0.5, 0.1), 0.0)
 
 
-class TestTruncationPolicy:
-    def test_cutoff_is_smallest_valid(self):
-        from scipy.stats import poisson
+class TestClosedFormsMatchPerK:
+    """expected_rate's closed forms against the paper's per-k formulas."""
 
-        policy = TruncationPolicy()
-        for lam in (0.0036, 0.0849, 0.3, 2.0, 9.0):
-            cutoff = policy.cutoff(lam)
-            assert cutoff >= policy.min_terms
-            assert poisson.sf(cutoff, lam) < policy.tail_tolerance
-            if cutoff > policy.min_terms:
-                assert poisson.sf(cutoff - 1, lam) >= policy.tail_tolerance
+    @staticmethod
+    def k_sum(func, eta, lam):
+        k_max = int(lam + 20.0 * math.sqrt(lam)) + 40
+        return math.fsum(poisson_pmf(k, lam) * func(eta, k) for k in range(1, k_max + 1))
 
-    def test_tighter_tail_means_more_terms(self):
-        loose = TruncationPolicy(tail_tolerance=1e-6)
-        tight = TruncationPolicy(tail_tolerance=1e-14)
-        assert tight.cutoff(0.5) >= loose.cutoff(0.5)
+    @pytest.mark.parametrize("eta", [0.011, 0.05, 0.1134, 0.5, 0.93, 1.0])
+    @pytest.mark.parametrize("lam", [1e-8, 1e-4, 0.0036, 0.0849, 0.3, 2.0, 9.0])
+    def test_rates_match_pmf_weighted_sums(self, eta, lam):
+        params = SourceParams(eta, lam)
+        for kind, func in (
+            (ClickKind.SINGLE, p_single),
+            (ClickKind.DOUBLE, p_double),
+            (ClickKind.ENTANGLED, p_ent),
+        ):
+            want = self.k_sum(func, eta, lam)
+            got = expected_rate(params, kind)
+            assert abs(got - want) <= 1e-10 * abs(want), (kind, got, want)
 
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            TruncationPolicy(tail_tolerance=0.0)
-        with pytest.raises(ValueError):
-            TruncationPolicy(min_terms=0)
-
-    def test_rate_insensitive_to_policy_beyond_tail(self):
-        params = SourceParams(0.1134, 0.0849)
-        r1 = expected_rate(params, ClickKind.DOUBLE, TruncationPolicy())
-        r2 = expected_rate(params, ClickKind.DOUBLE, TruncationPolicy(1e-14, 40))
-        assert r1 == pytest.approx(r2, rel=1e-11)
+    @pytest.mark.parametrize("eta", [0.011, 0.1134, 1.0])
+    def test_finite_at_the_bracket_ceiling(self, eta):
+        params = SourceParams(eta, float(2**20))
+        rates = {kind: expected_rate(params, kind) for kind in ClickKind}
+        assert all(math.isfinite(rate) and 0.0 <= rate <= 1.0 for rate in rates.values())
+        assert rates[ClickKind.DOUBLE] == pytest.approx(1.0)
 
 
 class TestXi:
@@ -227,6 +225,15 @@ class TestSourceParams:
             SourceParams(0.5, -0.1)
         with pytest.raises(ValueError):
             SourceParams(0.5, 0.1, pulse_freq_hz=0.0)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_rejected(self, bad):
+        with pytest.raises(ValueError):
+            SourceParams(bad, 0.1)
+        with pytest.raises(ValueError):
+            SourceParams(0.5, bad)
+        with pytest.raises(ValueError):
+            SourceParams(0.5, 0.1, pulse_freq_hz=bad)
 
     def test_frozen(self):
         params = SourceParams(0.5, 0.1)

@@ -132,3 +132,89 @@ class TestSimulateChsh:
         estimate = simulate_chsh(SourceParams(0.3, 0.0), 1.0, SimConfig(n_pulses=10_000, seed=9))
         assert math.isnan(estimate.bell_value)
         assert estimate.setting_counts == (0, 0, 0, 0)
+
+
+# Seed -> tally contract: golden (singles, doubles, entangled), CHSH value and
+# setting counts for fixed (params, seed, block_size), captured once and never
+# regenerated. A change here breaks the reproducibility promise of the
+# montecarlo module docstring, so it needs a new contract, not new numbers.
+GOLDEN_PULSES = 50_000
+GOLDEN_BLOCK = 8192  # six full blocks and a partial one
+GOLDEN_VISIBILITY = 0.9
+NAN = math.nan
+GOLDEN = (
+    (0.1134, 0.0, 0, (0, 0, 0), NAN, (0, 0, 0, 0)),
+    (0.1134, 0.0, 1, (0, 0, 0), NAN, (0, 0, 0, 0)),
+    (0.1134, 0.0, 20260819, (0, 0, 0), NAN, (0, 0, 0, 0)),
+    (0.1134, 0.0, 2**64 - 1, (0, 0, 0), NAN, (0, 0, 0, 0)),
+    (0.1134, 0.01, 0, (109, 9, 9), 1.0, (5, 1, 1, 2)),
+    (0.1134, 0.01, 1, (111, 7, 7), NAN, (2, 4, 1, 0)),
+    (0.1134, 0.01, 20260819, (107, 6, 6), NAN, (0, 1, 2, 3)),
+    (0.1134, 0.01, 2**64 - 1, (93, 7, 7), 3.333333333333333, (3, 1, 1, 2)),
+    (0.1134, 0.0849, 0, (919, 63, 57), 3.091503267973856, (10, 17, 18, 18)),
+    (0.1134, 0.0849, 1, (779, 63, 61), 2.629946524064171, (20, 15, 11, 17)),
+    (0.1134, 0.0849, 20260819, (798, 53, 47), 2.9833333333333334, (15, 16, 8, 14)),
+    (0.1134, 0.0849, 2**64 - 1, (779, 55, 50), 1.7403508771929823, (10, 18, 8, 19)),
+    (0.1134, 0.3, 0, (2918, 246, 191), 1.9163295720672768, (70, 55, 61, 60)),
+    (0.1134, 0.3, 1, (2827, 249, 199), 2.229934962835906, (66, 66, 53, 64)),
+    (0.1134, 0.3, 20260819, (2813, 220, 164), 1.8480632248057844, (46, 60, 61, 53)),
+    (0.1134, 0.3, 2**64 - 1, (2795, 217, 162), 1.834090909090909, (57, 55, 48, 57)),
+    (0.1134, 2.0, 0, (13645, 2970, 879), 0.8015623710052178, (742, 744, 762, 722)),
+    (0.1134, 2.0, 1, (13792, 2885, 874), 0.7831983576062792, (790, 720, 682, 693)),
+    (0.1134, 2.0, 20260819, (13636, 2874, 845), 0.7124591445330147, (732, 706, 723, 713)),
+    (0.1134, 2.0, 2**64 - 1, (13918, 2816, 821), 0.6277086093454503, (713, 697, 663, 743)),
+    (0.5, 0.0, 0, (0, 0, 0), NAN, (0, 0, 0, 0)),
+    (0.5, 0.0, 1, (0, 0, 0), NAN, (0, 0, 0, 0)),
+    (0.5, 0.0, 20260819, (0, 0, 0), NAN, (0, 0, 0, 0)),
+    (0.5, 0.0, 2**64 - 1, (0, 0, 0), NAN, (0, 0, 0, 0)),
+    (0.5, 0.01, 0, (236, 125, 124), 2.907932214244784, (33, 29, 32, 31)),
+    (0.5, 0.01, 1, (241, 139, 139), 2.4077249575551782, (31, 38, 40, 30)),
+    (0.5, 0.01, 20260819, (227, 112, 111), 2.4976190476190476, (30, 24, 28, 30)),
+    (0.5, 0.01, 2**64 - 1, (250, 107, 107), 3.2806302892509787, (26, 29, 28, 24)),
+    (0.5, 0.0849, 0, (2031, 1100, 1020), 2.3713872300317482, (271, 293, 279, 257)),
+    (0.5, 0.0849, 1, (1964, 1116, 1045), 2.340013226469451, (278, 289, 275, 274)),
+    (0.5, 0.0849, 20260819, (1951, 1040, 969), 2.315340909090909, (256, 264, 256, 264)),
+    (0.5, 0.0849, 2**64 - 1, (1922, 1108, 1019), 2.500776055143173, (268, 288, 261, 291)),
+    (0.5, 0.3, 0, (6161, 3874, 3007), 2.0194059947639724, (965, 950, 985, 974)),
+    (0.5, 0.3, 1, (5973, 3948, 3035), 1.9406737574042068, (1009, 967, 977, 995)),
+    (0.5, 0.3, 20260819, (6125, 3810, 2951), 1.9375558816066445, (939, 933, 961, 977)),
+    (0.5, 0.3, 2**64 - 1, (6032, 3911, 3084), 2.0808659255286033, (972, 964, 988, 987)),
+    (0.5, 2.0, 0, (12806, 24204, 5577), 0.5716163669374866, (6055, 6078, 5979, 6092)),
+    (0.5, 2.0, 1, (12523, 24515, 5645), 0.5934287699136113, (6251, 6103, 6164, 5997)),
+    (0.5, 2.0, 20260819, (12794, 24154, 5461), 0.5260682087211898, (6075, 5879, 6146, 6054)),
+    (0.5, 2.0, 2**64 - 1, (12610, 24567, 5700), 0.596277536680619, (6075, 6123, 6072, 6297)),
+    (0.93, 0.0, 0, (0, 0, 0), NAN, (0, 0, 0, 0)),
+    (0.93, 0.0, 1, (0, 0, 0), NAN, (0, 0, 0, 0)),
+    (0.93, 0.0, 20260819, (0, 0, 0), NAN, (0, 0, 0, 0)),
+    (0.93, 0.0, 2**64 - 1, (0, 0, 0), NAN, (0, 0, 0, 0)),
+    (0.93, 0.01, 0, (69, 409, 408), 2.435930141570855, (109, 89, 107, 104)),
+    (0.93, 0.01, 1, (57, 449, 448), 2.493745902098672, (107, 118, 116, 108)),
+    (0.93, 0.01, 20260819, (45, 420, 417), 2.6762992695665964, (108, 100, 101, 111)),
+    (0.93, 0.01, 2**64 - 1, (65, 407, 407), 2.746259897331915, (105, 107, 110, 85)),
+    (0.93, 0.0849, 0, (494, 3568, 3393), 2.3634735997686604, (873, 883, 907, 905)),
+    (0.93, 0.0849, 1, (496, 3618, 3448), 2.499983075351524, (957, 882, 864, 915)),
+    (0.93, 0.0849, 20260819, (472, 3483, 3319), 2.355214820243006, (867, 855, 903, 858)),
+    (0.93, 0.0849, 2**64 - 1, (499, 3470, 3302), 2.404360708035602, (868, 893, 863, 846)),
+    (0.93, 0.3, 0, (1364, 11514, 9657), 2.1624566099556275, (2912, 2778, 2909, 2915)),
+    (0.93, 0.3, 1, (1405, 11470, 9591), 2.124393235398226, (2835, 2924, 2803, 2908)),
+    (0.93, 0.3, 20260819, (1420, 11469, 9707), 2.1001199378756112, (2803, 2873, 2876, 2917)),
+    (0.93, 0.3, 2**64 - 1, (1405, 11368, 9588), 2.1630031467122635, (2918, 2804, 2854, 2792)),
+    (0.93, 2.0, 0, (1782, 41318, 12083), 0.7507874691878024, (10418, 10274, 10370, 10256)),
+    (0.93, 2.0, 1, (1766, 41393, 11846), 0.7202344742641661, (10403, 10291, 10373, 10326)),
+    (0.93, 2.0, 20260819, (1799, 41324, 11897), 0.7362702461485453, (10350, 10138, 10416, 10420)),
+    (0.93, 2.0, 2**64 - 1, (1799, 41354, 11891), 0.7530378663497852, (10281, 10320, 10308, 10445)),
+)
+
+
+@pytest.mark.parametrize("eta, lam, seed, counts, bell, settings", GOLDEN)
+def test_seed_contract_goldens(eta, lam, seed, counts, bell, settings):
+    params = SourceParams(eta, lam)
+    cfg = SimConfig(n_pulses=GOLDEN_PULSES, seed=seed, block_size=GOLDEN_BLOCK)
+    tally = simulate_pulses(params, cfg)
+    estimate = simulate_chsh(params, GOLDEN_VISIBILITY, cfg)
+    assert (tally.singles, tally.doubles, tally.entangled_coincidences) == counts
+    assert estimate.setting_counts == settings
+    if math.isnan(bell):
+        assert math.isnan(estimate.bell_value)
+    else:
+        assert estimate.bell_value == bell

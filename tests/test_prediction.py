@@ -15,6 +15,7 @@ from bellcal import (
     ClickKind,
     predict_bell,
     solve_lambda_for_bell,
+    solve_lambda_for_rate,
     sweep,
     to_physical,
     visibility,
@@ -199,6 +200,32 @@ class TestSolveLambdaForBell:
         fit = reference_report.fit
         with pytest.raises(ValueError):
             solve_lambda_for_bell(fit, 2.5, fit.eta_used, tol=-1.0)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_target_rejected(self, reference_report, bad):
+        fit = reference_report.fit
+        with pytest.raises(ValueError, match="finite"):
+            solve_lambda_for_bell(fit, bad, fit.eta_used, allow_below_classical=True)
+
+
+class TestSolveLambdaForRate:
+    def test_round_trip(self):
+        for eta in (0.011, 0.1134, 1.0):
+            for lam in (1e-4, 0.0849, 0.3, 3.0):
+                rate = events_per_second(SourceParams(eta, lam))
+                assert solve_lambda_for_rate(rate, eta) == pytest.approx(lam, abs=1e-9)
+
+    def test_zero_rate_is_zero_power(self):
+        assert solve_lambda_for_rate(0.0, 0.1134) == 0.0
+
+    def test_rate_at_pulse_frequency_infeasible(self):
+        with pytest.raises(InfeasibleTargetError):
+            solve_lambda_for_rate(8.0e7, 0.1134)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, -1.0])
+    def test_bad_rate_rejected(self, bad):
+        with pytest.raises(ValueError, match="rate"):
+            solve_lambda_for_rate(bad, 0.1134)
 
 
 class TestSweep:
