@@ -2,9 +2,9 @@
 
 The pipeline mirrors how the reference dataset was analyzed: estimate the
 detector efficiency eta from pooled single/double click counts, recover each
-run's mean pairs per pulse by root finding on the expected coincidence count,
-fit the observed Bell values linearly against the recovered lambda values,
-and convert the line (a, b) into the physical degradation parameters
+run's mean pairs per pulse by Newton's method on the expected coincidence
+count, fit the observed Bell values linearly against the recovered lambda
+values, and convert the line (a, b) into the physical degradation parameters
 (alpha, beta) of the noise model B = alpha * T * v - beta.
 """
 
@@ -16,12 +16,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .clicks import (
-    DEFAULT_PULSE_FREQ_HZ,
-    SourceParams,
-    expected_doubles_count,
-    xi,
-)
+from .clicks import DEFAULT_PULSE_FREQ_HZ, _check_solver_source, _double_entangled, xi
 
 LAMBDA_BRACKET_CEILING = float(2**20)
 
@@ -95,10 +90,14 @@ class BellCertificate:
     trace_zero: bool = True
 
     def __post_init__(self) -> None:
-        if self.tsirelson_bound <= 0.0:
-            raise ValueError(f"tsirelson_bound must be > 0, got {self.tsirelson_bound}")
-        if self.classical_bound < 0.0:
-            raise ValueError(f"classical_bound must be >= 0, got {self.classical_bound}")
+        if not 0.0 < self.tsirelson_bound < math.inf:
+            raise ValueError(
+                f"tsirelson_bound must be finite and > 0, got {self.tsirelson_bound}"
+            )
+        if not 0.0 <= self.classical_bound < math.inf:
+            raise ValueError(
+                f"classical_bound must be finite and >= 0, got {self.classical_bound}"
+            )
         if not self.classical_bound < self.tsirelson_bound:
             raise ValueError(
                 "classical_bound must be below tsirelson_bound, got "
@@ -135,6 +134,9 @@ class PhysicalFit:
     beta: float
 
     def __post_init__(self) -> None:
+        for name, value in vars(self).items():
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if self.rmse < 0.0:
             raise ValueError(f"rmse must be >= 0, got {self.rmse}")
 
@@ -187,42 +189,60 @@ def estimate_eta_per_run(runs: Sequence[ExperimentRun]) -> np.ndarray:
     )
 
 
-def _bisect_lambda(
-    excess: Callable[[float], float], tol: float, unreached: str
+def _newton_lambda(
+    excess: Callable[[float], tuple[float, float]],
+    guess: float,
+    tol: float,
+    unreached: str,
 ) -> float:
-    """Root in lambda of a nondecreasing excess(lambda), given excess(0) <= 0
-    and tol > 0.
+    """Root in lambda of a nondecreasing excess(lambda) -> (value, slope),
+    given excess(0) <= 0 and tol > 0.
 
-    The bracket [0, hi] starts at hi = 1 and doubles its upper end until
-    excess(hi) >= 0; bisection then halves it until its width drops below
-    tol. Raises BracketError, with ``unreached`` as the reason, when hi
-    passes LAMBDA_BRACKET_CEILING, and ValueError when excess is NaN.
+    Safeguarded Newton from a first-order guess. Returns once a Newton step
+    is shorter than tol; that test comes before the bracket test, because a
+    converged step from above can round onto the bracket's upper end.
+
+    The bracket [lo, hi] holds the root once some excess(lambda) > 0 was
+    seen. Inside it, a step that would leave it, or that is not at most half
+    the previous move, bisects instead, which bounds the iteration count;
+    bisection returns when the bracket is narrower than tol or cannot be
+    split. Before that, a step that does not move right doubles lo (from 1)
+    and one past LAMBDA_BRACKET_CEILING tries the ceiling. Raises
+    BracketError, with ``unreached`` as the reason, when excess is still
+    negative at the ceiling, and ValueError when a value or slope is NaN.
     """
-
-    def checked(lam: float) -> float:
-        value = excess(lam)
-        if math.isnan(value):
+    lo, hi = 0.0, math.inf
+    lam = min(guess, LAMBDA_BRACKET_CEILING) if guess > 0.0 else 0.0
+    last_move = math.inf
+    while True:
+        value, slope = excess(lam)
+        if math.isnan(value) or math.isnan(slope):
             raise ValueError(f"solver function is NaN at lambda = {lam!r}")
-        return value
-
-    if checked(0.0) == 0.0:
-        return 0.0
-    hi = 1.0
-    while checked(hi) < 0.0:
-        hi *= 2.0
-        if hi > LAMBDA_BRACKET_CEILING:
+        if value == 0.0:
+            return lam
+        if value > 0.0:
+            hi = lam
+        elif lam < LAMBDA_BRACKET_CEILING:
+            lo = lam
+        else:
             raise BracketError(
                 f"{unreached} for lambda up to {LAMBDA_BRACKET_CEILING:.0f}"
             )
-    lo, width = 0.0, hi
-    while True:
-        width /= 2.0
-        mid = lo + width
-        value = checked(mid)
-        if value < 0.0:
-            lo = mid
-        if value == 0.0 or width < tol:
-            return mid
+        step = value / slope if slope > 0.0 else math.nan
+        if abs(step) < tol:
+            return min(max(lam - step, lo), hi)
+        new = lam - step
+        if hi == math.inf:
+            if new > LAMBDA_BRACKET_CEILING:
+                new = LAMBDA_BRACKET_CEILING
+            elif not new > lo:
+                new = min(max(2.0 * lo, 1.0), LAMBDA_BRACKET_CEILING)
+        elif not (lo < new < hi and abs(step) <= last_move / 2.0):
+            new = lo + (hi - lo) / 2.0
+            if hi - lo < tol or not lo < new < hi:
+                return new
+        last_move = abs(new - lam)
+        lam = new
 
 
 def solve_lambda_from_doubles(
@@ -235,16 +255,15 @@ def solve_lambda_from_doubles(
     """Mean pairs per pulse whose expected double count equals ``doubles``.
 
     The expected double count is strictly increasing in lambda at fixed
-    eta > 0, so the root is unique; bracketing from [0, 1] and bisection
-    converge to |dlambda| < tol. The count may be fractional (an expected
-    value rather than a tally).
+    eta > 0, so the root is unique; safeguarded Newton from the first-order
+    guess doubles / (f t eta^2) converges to |dlambda| < tol. The count may
+    be fractional (an expected value rather than a tally).
 
     Raises BracketError if no bracket exists below the lambda ceiling, which
     happens when the observation exceeds every achievable count (more doubles
     than pulses).
     """
-    if not 0.0 < eta <= 1.0:
-        raise ValueError(f"eta must be in (0, 1], got {eta}")
+    _check_solver_source(eta, pulse_freq_hz)
     if not tol > 0.0:
         raise ValueError(f"tol must be > 0, got {tol}")
     if not 0.0 <= doubles < math.inf:
@@ -252,11 +271,18 @@ def solve_lambda_from_doubles(
     if not 0.0 < duration_s < math.inf:
         raise ValueError(f"duration_s must be finite and > 0, got {duration_s}")
 
-    def excess(lam: float) -> float:
-        params = SourceParams(eta, lam, pulse_freq_hz)
-        return expected_doubles_count(params, duration_s) - doubles
+    pulses = pulse_freq_hz * duration_s
 
-    return _bisect_lambda(excess, tol, f"expected doubles never reach {doubles}")
+    def excess(lam: float) -> tuple[float, float]:
+        double, _, double_slope, _ = _double_entangled(eta, lam)
+        return pulses * double - doubles, pulses * double_slope
+
+    return _newton_lambda(
+        excess,
+        doubles / pulses / eta / eta,
+        tol,
+        f"expected doubles never reach {doubles}",
+    )
 
 
 def solve_lambda_from_counts(
@@ -285,20 +311,23 @@ def fit_linear(points: Sequence[tuple[float, float]]) -> tuple[float, float, flo
     divisor n. Raises DegenerateFitError with fewer than two distinct lambda
     values.
     """
-    arr = np.asarray(points, dtype=float)
-    if arr.ndim != 2 or arr.shape[1] != 2 or arr.shape[0] < 2:
-        raise DegenerateFitError(
-            f"need at least 2 (lambda, bell) points, got {arr.shape[0] if arr.ndim == 2 else 0}"
-        )
-    lam, bell = arr[:, 0], arr[:, 1]
-    if np.unique(lam).size < 2:
+    n = len(points)
+    if n < 2:
+        raise DegenerateFitError(f"need at least 2 (lambda, bell) points, got {n}")
+    lam = [float(x) for x, _ in points]
+    bell = [float(y) for _, y in points]
+    if len(set(lam)) < 2:
         raise DegenerateFitError("all lambda values identical; slope undetermined")
-    lam_c = lam - lam.mean()
-    denom = float(np.dot(lam_c, lam_c))
-    slope = float(np.dot(lam_c, bell - bell.mean()) / denom)
-    intercept = float(bell.mean() - slope * lam.mean())
-    residuals = bell - (slope * lam + intercept)
-    rmse = float(np.sqrt(np.mean(residuals**2)))
+    lam_mean = math.fsum(lam) / n
+    bell_mean = math.fsum(bell) / n
+    lam_c = [x - lam_mean for x in lam]
+    slope = math.fsum(xc * (y - bell_mean) for xc, y in zip(lam_c, bell)) / math.fsum(
+        xc * xc for xc in lam_c
+    )
+    intercept = bell_mean - slope * lam_mean
+    rmse = math.sqrt(
+        math.fsum((y - (slope * x + intercept)) ** 2 for x, y in zip(lam, bell)) / n
+    )
     return slope, intercept, rmse
 
 

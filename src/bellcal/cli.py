@@ -256,6 +256,9 @@ def read_report(
             eta_hat=float(raw["eta_hat"]), per_run=per_run, fit=fit
         )
         pulse_freq_hz = float(raw["pulse_freq_hz"])
+        for key, value in (("eta_hat", report.eta_hat), ("pulse_freq_hz", pulse_freq_hz)):
+            if not math.isfinite(value):
+                raise ValueError(f"{key} must be finite, got {value}")
     except (KeyError, TypeError, ValueError) as exc:
         raise ReportFileError(f"{path}: malformed report ({exc})") from exc
     return report, certificate, pulse_freq_hz

@@ -64,6 +64,14 @@ def _check_eta(eta: float) -> None:
         raise ValueError(f"eta must be in [0, 1], got {eta}")
 
 
+def _check_solver_source(eta: float, pulse_freq_hz: float = DEFAULT_PULSE_FREQ_HZ) -> None:
+    """What SourceParams checks, with eta = 0 excluded (no clicks to invert)."""
+    if not 0.0 < eta <= 1.0:
+        raise ValueError(f"eta must be in (0, 1], got {eta}")
+    if not 0.0 < pulse_freq_hz < math.inf:
+        raise ValueError(f"pulse_freq_hz must be finite and > 0, got {pulse_freq_hz}")
+
+
 def _check_pairs(k: int) -> None:
     if k != int(k) or k < 1:
         raise ValueError(f"pair count k must be an integer >= 1, got {k}")
@@ -135,6 +143,26 @@ def expected_rate(params: SourceParams, kind: ClickKind) -> float:
     if kind is ClickKind.DOUBLE:
         return math.expm1(-a) ** 2 - dark * math.expm1(-a * eta)
     return a * eta * dark
+
+
+def _double_entangled(eta: float, lambda_mean: float) -> tuple[float, float, float, float]:
+    """Double and entangled rates with their lambda-derivatives, for the solvers.
+
+    Returns (D, E, dD/dlambda, dE/dlambda). D and E are the expressions of
+    expected_rate, so the values are bit-identical. With a = lambda * eta:
+
+        dD/dlambda = eta e^{-a} (eta - (2-eta) expm1(-a(1-eta)))
+        dE/dlambda = eta^2 e^{-a(2-eta)} (1 - a(2-eta))
+
+    Both terms of dD/dlambda are >= 0, so nothing cancels. No validation:
+    callers check eta and lambda_mean once per public call.
+    """
+    a = lambda_mean * eta
+    dark = math.exp(-a * (2.0 - eta))
+    double = math.expm1(-a) ** 2 - dark * math.expm1(-a * eta)
+    double_slope = eta * math.exp(-a) * (eta - (2.0 - eta) * math.expm1(-a * (1.0 - eta)))
+    entangled_slope = eta * eta * dark * (1.0 - a * (2.0 - eta))
+    return double, a * eta * dark, double_slope, entangled_slope
 
 
 def _check_duration(duration_s: float) -> None:

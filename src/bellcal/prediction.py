@@ -19,13 +19,15 @@ from .calibration import (
     ModelAssumptionError,
     ModelError,
     PhysicalFit,
-    _bisect_lambda,
+    _newton_lambda,
     chsh_certificate,
 )
 from .clicks import (
     ClickKind,
     DEFAULT_PULSE_FREQ_HZ,
     SourceParams,
+    _check_solver_source,
+    _double_entangled,
     expected_rate,
     xi,
 )
@@ -138,10 +140,15 @@ def solve_lambda_for_rate(
             f"frequency {pulse_freq_hz}"
         )
 
-    def excess(lam: float) -> float:
-        return events_per_second(SourceParams(eta, lam, pulse_freq_hz)) - rate
+    _check_solver_source(eta, pulse_freq_hz)
 
-    return _bisect_lambda(excess, tol, f"events/s never reach {rate}")
+    def excess(lam: float) -> tuple[float, float]:
+        double, _, double_slope, _ = _double_entangled(eta, lam)
+        return pulse_freq_hz * double - rate, pulse_freq_hz * double_slope
+
+    return _newton_lambda(
+        excess, rate / pulse_freq_hz / eta / eta, tol, f"events/s never reach {rate}"
+    )
 
 
 def solve_lambda_for_bell(
@@ -177,14 +184,29 @@ def solve_lambda_for_bell(
             f"{cert.classical_bound}; such targets need the explicit override"
         )
 
-    def excess(lam: float) -> float:
-        params = SourceParams(eta, lam, DEFAULT_PULSE_FREQ_HZ)
-        return target_bell - predict_bell(fit, params, cert)
+    _check_solver_source(eta)
+    _check_fit_consistency(fit, cert, eta)
+    scale = fit.alpha * cert.tsirelson_bound
 
+    def excess(lam: float) -> tuple[float, float]:
+        # target - B(lambda) and its slope -dB/dlambda = -scale dv/dlambda
+        double, entangled, double_slope, entangled_slope = _double_entangled(eta, lam)
+        if double == 0.0:
+            # v = 1 at zero power (see visibility), where dv/dlambda = -xi/2
+            return target_bell - (scale - fit.beta), 0.5 * scale * fit.xi_used
+        vis = entangled / double
+        return (
+            target_bell - (scale * vis - fit.beta),
+            -scale * (entangled_slope - vis * double_slope) / double,
+        )
+
+    # first-order guess from the fitted line b + a * lambda
+    line_slope = fit.slope_a
     # converge well inside tol so the returned power reproduces the target
     # Bell value to comparable accuracy (the line's slope exceeds 1)
-    return _bisect_lambda(
+    return _newton_lambda(
         excess,
+        (target_bell - intercept) / line_slope if line_slope < 0.0 else 1.0,
         tol / 16.0,
         f"predicted Bell value (floor {-fit.beta:.6f}) never falls to {target_bell}",
     )
@@ -200,24 +222,27 @@ def sweep(
     """Forward-model curve over a strictly increasing grid of lambda values.
 
     Bell values are nonincreasing and event rates nondecreasing along the
-    grid. Raises ValueError for an empty, negative, or unsorted grid.
+    grid. Raises ValueError for an empty, negative, non-finite or unsorted
+    grid. Checks eta and the fit once, then makes one rate-kernel call per
+    point, with the arithmetic of visibility, predict_bell and
+    events_per_second, so each point equals what those return.
     """
     grid = [float(lam) for lam in lambda_grid]
     if not grid:
         raise ValueError("lambda_grid must not be empty")
-    if grid[0] < 0.0:
-        raise ValueError(f"lambda_grid values must be >= 0, got {grid[0]}")
+    if not all(0.0 <= lam < math.inf for lam in grid):
+        raise ValueError("lambda_grid values must be finite and >= 0")
     if any(b <= a for a, b in zip(grid, grid[1:])):
         raise ValueError("lambda_grid must be strictly increasing")
+    _check_solver_source(eta, pulse_freq_hz)
+    cert = chsh_certificate() if cert is None else cert
+    _check_fit_consistency(fit, cert, eta)
+    scale = fit.alpha * cert.tsirelson_bound
     points = []
     for lam in grid:
-        params = SourceParams(eta, lam, pulse_freq_hz)
+        double, entangled, _, _ = _double_entangled(eta, lam)
+        vis = entangled / double if double != 0.0 else 1.0
         points.append(
-            PredictionPoint(
-                lambda_mean=lam,
-                visibility=visibility(params),
-                bell_value=predict_bell(fit, params, cert),
-                events_per_second=events_per_second(params),
-            )
+            PredictionPoint(lam, vis, scale * vis - fit.beta, pulse_freq_hz * double)
         )
     return tuple(points)

@@ -10,6 +10,7 @@ from bellcal import (
     DegenerateFitError,
     ExperimentRun,
     ModelAssumptionError,
+    PhysicalFit,
     SourceParams,
     calibrate,
     chsh_certificate,
@@ -22,7 +23,7 @@ from bellcal import (
     solve_lambda_from_doubles,
     to_physical,
 )
-from bellcal.calibration import _bisect_lambda
+from bellcal.calibration import _newton_lambda
 
 # independently computed values for the bundled seven-run dataset
 REFERENCE_ETA = 0.11340251881660635
@@ -79,6 +80,14 @@ class TestBellCertificate:
             BellCertificate("bad", tsirelson_bound=2.0, classical_bound=2.5)
         with pytest.raises(ValueError):
             BellCertificate("bad", tsirelson_bound=0.0, classical_bound=0.0)
+
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_bounds_rejected(self, bad):
+        with pytest.raises(ValueError, match="tsirelson_bound"):
+            BellCertificate("bad", tsirelson_bound=bad, classical_bound=2.0)
+        with pytest.raises(ValueError, match="classical_bound"):
+            BellCertificate("bad", tsirelson_bound=2.5, classical_bound=bad)
 
 
 class TestEstimateEta:
@@ -163,12 +172,26 @@ class TestSolveLambda:
             solve_lambda_from_counts(run, 0.5, tol=math.nan)
 
     def test_nan_in_the_solver_is_an_error_not_zero_power(self):
-        for nan_at in (0.0, 1.0, 0.5):
-            def excess(lam, nan_at=nan_at):
-                return math.nan if lam == nan_at else lam - 0.3
+        # a curved excess with its root at 0.3; NaN on the n-th evaluation,
+        # which is lambda = 0 from guess 0, the guess 0.5, or a later iterate
+        for guess, nan_call, nan_in in (
+            (0.0, 1, "value"), (0.5, 1, "value"), (0.5, 3, "value"), (0.5, 2, "slope")
+        ):
+            seen = []
+
+            def excess(lam):
+                seen.append(lam)
+                value, slope = lam * lam - 0.09, 2.0 * lam
+                if len(seen) == nan_call:
+                    return (math.nan, slope) if nan_in == "value" else (value, math.nan)
+                return value, slope
 
             with pytest.raises(ValueError, match="NaN"):
-                _bisect_lambda(excess, 1e-10, "never")
+                _newton_lambda(excess, guess, 1e-10, "never")
+            assert seen[0] == guess and len(seen) == nan_call
+        assert _newton_lambda(
+            lambda lam: (lam * lam - 0.09, 2.0 * lam), 0.5, 1e-10, "never"
+        ) == pytest.approx(0.3, abs=1e-10)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_inputs_rejected(self, bad):
@@ -221,6 +244,15 @@ class TestFitLinear:
     def test_identical_lambdas(self):
         with pytest.raises(DegenerateFitError):
             fit_linear([(0.1, 2.5), (0.1, 2.6), (0.1, 2.7)])
+
+
+class TestPhysicalFit:
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_fields_rejected(self, bad):
+        fit = to_physical(REFERENCE_SLOPE, REFERENCE_INTERCEPT, REFERENCE_ETA, chsh_certificate())
+        for name in vars(fit):
+            with pytest.raises(ValueError, match=name):
+                PhysicalFit(**{**vars(fit), name: bad})
 
 
 class TestToPhysical:

@@ -346,3 +346,28 @@ class TestReportFile:
         )
         assert result.returncode == 2
         assert "schema" in result.stderr
+
+    # Python's json reads NaN and Infinity literals, so the report reader
+    # itself must reject them rather than let them reach the model
+    @pytest.mark.parametrize(
+        "section, key, value",
+        [
+            ("fit", "alpha", float("nan")),
+            (None, "eta_hat", float("inf")),
+            ("certificate", "tsirelson_bound", float("inf")),
+        ],
+    )
+    def test_non_finite_value_names_the_file_and_key(
+        self, report_path, tmp_path, section, key, value
+    ):
+        payload = json.loads(report_path.read_text())
+        (payload[section] if section else payload)[key] = value
+        edited = tmp_path / "edited.json"
+        edited.write_text(json.dumps(payload))
+        result = run_cli(
+            "predict", "--report", "edited.json", "--lambdas", "0.1",
+            cwd=tmp_path, timeout=60,
+        )
+        assert result.returncode == 2, result.stderr
+        assert "edited.json" in result.stderr
+        assert key in result.stderr

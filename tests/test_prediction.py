@@ -266,6 +266,31 @@ class TestSweep:
             sweep(fit, fit.eta_used, [0.1, 0.1])
 
 
+    @pytest.mark.parametrize(
+        "grid", [np.linspace(0.0, 0.75, 1000), np.geomspace(1e-9, 50.0, 500)]
+    )
+    def test_points_equal_the_per_point_functions(self, reference_report, grid):
+        fit = reference_report.fit
+        freq = 7.6e7
+        for point in sweep(fit, fit.eta_used, grid, pulse_freq_hz=freq):
+            params = SourceParams(fit.eta_used, point.lambda_mean, freq)
+            assert point.visibility == visibility(params)
+            assert point.bell_value == predict_bell(fit, params)
+            assert point.events_per_second == events_per_second(params)
+
+    @pytest.mark.parametrize(
+        "grid", [[0.0, math.nan], [math.nan, 0.1], [0.1, math.inf], [-math.inf, 0.1]]
+    )
+    def test_non_finite_grid_rejected(self, reference_report, grid):
+        fit = reference_report.fit
+        with pytest.raises(ValueError, match="lambda_grid"):
+            sweep(fit, fit.eta_used, grid)
+
+    def test_zero_eta_rejected(self, reference_report):
+        with pytest.raises(ValueError, match="eta"):
+            sweep(reference_report.fit, 0.0, [0.0, 0.1])
+
+
 class TestXiConsistency:
     def test_visibility_slope_is_xi(self):
         # d(visibility)/d(lambda) at 0 equals -xi/2 for any eta
