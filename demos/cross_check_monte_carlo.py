@@ -14,8 +14,7 @@ from bellcal import (
     SimConfig,
     SourceParams,
     expected_rate,
-    simulate_chsh,
-    simulate_pulses,
+    simulate_tally_and_chsh,
     visibility,
 )
 
@@ -30,7 +29,9 @@ def main() -> None:
     cfg = SimConfig(n_pulses=PULSES, seed=SEED)
     print(f"eta = {ETA}, lambda = {LAMBDA}, {PULSES:,} pulses, seed {SEED}\n")
 
-    tally = simulate_pulses(params, cfg)
+    # one pass over the pulse stream gives the tally and, from the same
+    # double clicks, the CHSH measurement
+    tally, estimate = simulate_tally_and_chsh(params, 1.0, cfg)
     print(f"{'tally':>12} {'observed':>9} {'expected':>11} {'z':>6}")
     for kind, observed in (
         (ClickKind.SINGLE, tally.singles),
@@ -47,9 +48,8 @@ def main() -> None:
     se_v = math.sqrt(v_emp * (1.0 - v_emp) / tally.doubles)
     print(f"\nvisibility: model {v_model:.4f}, empirical {v_emp:.4f} ({(v_emp - v_model) / se_v:+.2f} se)")
 
-    # same pulse stream, now measured: each double click picks one of the
-    # four CHSH settings and produces correlated or accidental outcomes
-    estimate = simulate_chsh(params, 1.0, cfg)
+    # each double click picked one of the four CHSH settings and produced
+    # correlated or accidental outcomes
     target = 2.0 * math.sqrt(2.0) * v_model
     z = (estimate.bell_value - target) / estimate.std_error
     print(f"CHSH: model {target:.4f}, empirical {estimate.bell_value:.4f} +- {estimate.std_error:.4f} ({z:+.2f} se)")

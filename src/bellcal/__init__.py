@@ -49,6 +49,7 @@ from .montecarlo import (
     SimConfig,
     simulate_chsh,
     simulate_pulses,
+    simulate_tally_and_chsh,
 )
 from .prediction import (
     InfeasibleTargetError,
@@ -99,6 +100,7 @@ __all__ = [
     "predict_bell",
     "simulate_chsh",
     "simulate_pulses",
+    "simulate_tally_and_chsh",
     "solve_lambda_for_bell",
     "solve_lambda_for_rate",
     "solve_lambda_from_counts",

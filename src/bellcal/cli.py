@@ -44,7 +44,7 @@ from .clicks import (
     SourceParams,
     expected_rate,
 )
-from .montecarlo import SimConfig, simulate_chsh, simulate_pulses
+from .montecarlo import SimConfig, simulate_tally_and_chsh
 from .prediction import (
     InfeasibleTargetError,
     events_per_second,
@@ -564,8 +564,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     if not 0.0 <= args.visibility <= 1.0:
         raise ValueError(f"--visibility must be in [0, 1], got {args.visibility}")
     sim_cfg = SimConfig(n_pulses=args.pulses, seed=args.seed)
-    tally = simulate_pulses(params, sim_cfg)
-    estimate = simulate_chsh(params, args.visibility, sim_cfg)
+    tally, estimate = simulate_tally_and_chsh(params, args.visibility, sim_cfg)
     n = float(sim_cfg.n_pulses)
 
     def count_row(name: str, observed: int, kind: ClickKind) -> dict[str, object]:

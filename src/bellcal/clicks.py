@@ -189,10 +189,11 @@ def expected_doubles_count(params: SourceParams, duration_s: float) -> float:
 def xi(eta: float) -> float:
     """Visibility slope factor: (p_double(eta,2) - p_ent(eta,2)) / eta^2.
 
-    Equals 2 - eta^2; the two-pair excess of accidental over genuine
-    coincidences per unit lambda_mean. Undefined at eta = 0.
+    The two-pair excess of accidental over genuine coincidences per unit
+    lambda_mean, written as its closed form 2 - eta^2 so that it does not
+    cancel at small eta. Undefined at eta = 0, where no pair is detected.
     """
     _check_eta(eta)
     if eta == 0.0:
-        raise ValueError("xi is undefined at eta = 0 (division by zero)")
-    return (p_double(eta, 2) - p_ent(eta, 2)) / (eta * eta)
+        raise ValueError("xi is undefined at eta = 0 (no pair is detected)")
+    return 2.0 - eta * eta

@@ -10,6 +10,7 @@ from bellcal import (
     DegenerateFitError,
     ExperimentRun,
     ModelAssumptionError,
+    ModelError,
     PhysicalFit,
     SourceParams,
     calibrate,
@@ -287,6 +288,14 @@ class TestToPhysical:
         one = to_physical(-1.0, 2.7, 0.3, cert)
         two = to_physical(-2.0, 2.7, 0.3, cert)
         assert two.alpha == pytest.approx(2.0 * one.alpha, rel=1e-15)
+
+    def test_underflowing_eta_stays_in_contract(self):
+        # eta^2 underflows to 0 here; xi must not divide by it
+        try:
+            fit = to_physical(-1.69, 2.76, 1e-200, chsh_certificate())
+        except (ValueError, ModelError):
+            return
+        assert all(math.isfinite(v) for v in (fit.xi_used, fit.alpha, fit.beta))
 
     def test_trace_zero_required(self):
         cert = BellCertificate("odd", 2.0, 1.0, trace_zero=False)

@@ -210,6 +210,16 @@ class TestXi:
         for eta in np.linspace(0.01, 1.0, 100):
             assert abs(xi(float(eta)) - (2.0 - eta * eta)) <= 1e-12
 
+    def test_two_pair_identity(self):
+        for eta in np.linspace(0.01, 1.0, 100):
+            eta = float(eta)
+            excess = (p_double(eta, 2) - p_ent(eta, 2)) / (eta * eta)
+            assert abs(xi(eta) - excess) <= 1e-12
+
+    def test_small_eta_does_not_cancel(self):
+        assert xi(1e-4) == 2.0 - 1e-4 * 1e-4
+        assert xi(1e-200) == 2.0
+
     def test_zero_eta_rejected(self):
         with pytest.raises(ValueError):
             xi(0.0)

@@ -11,6 +11,7 @@ from bellcal import (
     expected_rate,
     simulate_chsh,
     simulate_pulses,
+    simulate_tally_and_chsh,
     visibility,
 )
 
@@ -87,6 +88,16 @@ class TestSimulatePulses:
         assert whole.entangled_coincidences <= whole.doubles <= whole.pulses
 
 
+class TestSimulateTallyAndChsh:
+    @pytest.mark.parametrize("eta, lam", [(0.1134, 0.0849), (1.0, 0.05), (0.5, 2.0)])
+    def test_one_pass_equals_both_passes(self, eta, lam):
+        params = SourceParams(eta, lam)
+        cfg = SimConfig(n_pulses=100_000, seed=3, block_size=8192)
+        tally, estimate = simulate_tally_and_chsh(params, 0.9, cfg)
+        assert tally == simulate_pulses(params, cfg)
+        assert estimate == simulate_chsh(params, 0.9, cfg)
+
+
 class TestSimulateChsh:
     def test_reproducible(self):
         params = SourceParams(0.1134, 0.0849)
@@ -127,6 +138,14 @@ class TestSimulateChsh:
         assert len(estimate.setting_counts) == 4
         assert all(c > 0 for c in estimate.setting_counts)
         assert isinstance(estimate, ChshEstimate)
+
+    def test_few_agreeing_events_keep_a_positive_error(self):
+        # ~14 events per setting, two settings all agreeing: the plug-in
+        # variance (1 - E^2)/n is 0 there and put this run at z = 5.5
+        params = SourceParams(0.05, 0.01)
+        estimate = simulate_chsh(params, 1.0, SimConfig(1 << 21, 5761398971297992831))
+        target = 2.0 * math.sqrt(2.0) * visibility(params)
+        assert abs(estimate.bell_value - target) < 5.0 * estimate.std_error
 
     def test_no_doubles_is_nan(self):
         estimate = simulate_chsh(SourceParams(0.3, 0.0), 1.0, SimConfig(n_pulses=10_000, seed=9))
@@ -212,6 +231,35 @@ def test_seed_contract_goldens(eta, lam, seed, counts, bell, settings):
     cfg = SimConfig(n_pulses=GOLDEN_PULSES, seed=seed, block_size=GOLDEN_BLOCK)
     tally = simulate_pulses(params, cfg)
     estimate = simulate_chsh(params, GOLDEN_VISIBILITY, cfg)
+    assert (tally.singles, tally.doubles, tally.entangled_coincidences) == counts
+    assert estimate.setting_counts == settings
+    if math.isnan(bell):
+        assert math.isnan(estimate.bell_value)
+    else:
+        assert estimate.bell_value == bell
+
+
+# Rows for the block loop's shortcuts, each with its own size, captured like
+# the ones above: lambda = 1e-6 leaves whole blocks without an active pulse,
+# lambda = 7 reaches k >= 10, eta = 1 takes the one-pair branch with no
+# singles, and the last row runs at the default block size with a partial
+# last block.
+GOLDEN_BRANCHES = (
+    (0.93, 1e-06, 0, 1 << 22, 8192, (0, 4, 4), NAN, (2, 1, 0, 1)),
+    (0.93, 1e-06, 1, 1 << 22, 8192, (0, 2, 2), NAN, (0, 0, 2, 0)),
+    (0.5, 7.0, 0, 50_000, 8192, (1446, 47246, 464), 0.0551456137018465, (11715, 11685, 11960, 11886)),
+    (0.5, 7.0, 2**64 - 1, 50_000, 8192, (1427, 47252, 438), 0.03526423092556171, (11867, 11565, 12076, 11744)),
+    (1.0, 0.05, 0, 50_000, 8192, (0, 2485, 2424), 2.579962106509421, (621, 650, 585, 629)),
+    (1.0, 0.05, 20260819, 50_000, 8192, (0, 2414, 2342), 2.4475735912464973, (586, 622, 610, 596)),
+    (0.1134, 0.0849, 20260819, 200_000, 1 << 16, (3408, 248, 233), 2.7357415776047853, (66, 65, 53, 64)),
+)
+
+
+@pytest.mark.parametrize("eta, lam, seed, pulses, block, counts, bell, settings", GOLDEN_BRANCHES)
+def test_seed_contract_goldens_branches(eta, lam, seed, pulses, block, counts, bell, settings):
+    params = SourceParams(eta, lam)
+    cfg = SimConfig(n_pulses=pulses, seed=seed, block_size=block)
+    tally, estimate = simulate_tally_and_chsh(params, GOLDEN_VISIBILITY, cfg)
     assert (tally.singles, tally.doubles, tally.entangled_coincidences) == counts
     assert estimate.setting_counts == settings
     if math.isnan(bell):
