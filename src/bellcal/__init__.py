@@ -8,6 +8,9 @@ detection efficiency and the Bell-vs-power line from observed count rates,
 predicts the Bell value and event rate at any pump power, solves the inverse
 problem (what power yields a target Bell value), and validates the whole
 analytic model against a pulse-level Monte Carlo.
+
+The Monte Carlo names are loaded on first use, so importing the package
+does not import numpy; only ``bellcal.montecarlo`` needs it.
 """
 
 from .calibration import (
@@ -42,14 +45,6 @@ from .clicks import (
     p_single,
     poisson_pmf,
     xi,
-)
-from .montecarlo import (
-    ChshEstimate,
-    PulseTally,
-    SimConfig,
-    simulate_chsh,
-    simulate_pulses,
-    simulate_tally_and_chsh,
 )
 from .prediction import (
     InfeasibleTargetError,
@@ -111,3 +106,27 @@ __all__ = [
     "visibility_linearized",
     "xi",
 ]
+
+_MONTECARLO_NAMES = frozenset(
+    {
+        "ChshEstimate",
+        "PulseTally",
+        "SimConfig",
+        "simulate_chsh",
+        "simulate_pulses",
+        "simulate_tally_and_chsh",
+    }
+)
+
+
+def __getattr__(name: str) -> object:
+    # PEP 562: the Monte Carlo is the only numpy user, so import it on demand
+    if name in _MONTECARLO_NAMES:
+        from . import montecarlo
+
+        return getattr(montecarlo, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | _MONTECARLO_NAMES)

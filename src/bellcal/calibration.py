@@ -12,11 +12,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable, Sequence
 
 from .clicks import DEFAULT_PULSE_FREQ_HZ, _check_solver_source, _double_entangled, xi
+
+if TYPE_CHECKING:
+    import numpy as np
 
 LAMBDA_BRACKET_CEILING = float(2**20)
 
@@ -58,7 +59,9 @@ class ExperimentRun:
     def __post_init__(self) -> None:
         for name in ("doubles_observed", "singles_observed"):
             value = getattr(self, name)
-            if value < 0 or value != int(value):
+            # finite first: int() raises OverflowError on inf, a bare
+            # ValueError on NaN
+            if not 0 <= value < math.inf or value != int(value):
                 raise ValueError(
                     f"run {self.run_id}: {name} must be a nonnegative integer, "
                     f"got {value}"
@@ -184,6 +187,8 @@ def estimate_eta_per_run(runs: Sequence[ExperimentRun]) -> np.ndarray:
         raise CalibrationError("cannot estimate eta from an empty run list")
     if any(r.doubles_observed == 0 for r in runs):
         raise CalibrationError("per-run eta undefined for runs with zero doubles")
+    import numpy as np  # deferred: the rest of the pipeline runs without numpy
+
     return np.array(
         [2.0 / (2.0 + r.singles_observed / r.doubles_observed) for r in runs]
     )

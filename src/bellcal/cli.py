@@ -25,8 +25,6 @@ from importlib.resources import files as _resource_files
 from pathlib import Path
 from typing import Callable, Sequence
 
-import numpy as np
-
 from .calibration import (
     BellCertificate,
     BracketError,
@@ -44,7 +42,6 @@ from .clicks import (
     SourceParams,
     expected_rate,
 )
-from .montecarlo import SimConfig, simulate_tally_and_chsh
 from .prediction import (
     InfeasibleTargetError,
     events_per_second,
@@ -536,7 +533,10 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             f"need 0 <= lambda_min < lambda_max, got "
             f"{args.lambda_min} and {args.lambda_max}"
         )
-    grid = np.linspace(args.lambda_min, args.lambda_max, args.steps)
+    # np.linspace's arithmetic, so the grid matches it bit for bit
+    step = (args.lambda_max - args.lambda_min) / (args.steps - 1)
+    grid = [i * step + args.lambda_min for i in range(args.steps - 1)]
+    grid.append(args.lambda_max)
     points = sweep(
         report.fit,
         report.fit.eta_used,
@@ -559,6 +559,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
+    # the Monte Carlo is the only subcommand that needs numpy
+    from .montecarlo import SimConfig, simulate_tally_and_chsh
+
     cfg = _load_config(args)
     params = SourceParams(args.eta, args.lambda_mean, cfg.pulse_freq_hz)
     if not 0.0 <= args.visibility <= 1.0:

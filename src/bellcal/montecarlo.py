@@ -34,6 +34,7 @@ the assignment logic, which cannot change their outcome, though their
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,6 +51,14 @@ class SimConfig:
     block_size: int = 1 << 16
 
     def __post_init__(self) -> None:
+        for name in ("n_pulses", "seed", "block_size"):
+            value = getattr(self, name)
+            try:
+                # Python and numpy integers pass; a float would fail later in
+                # the block loop or, as a seed, be truncated by the Philox key
+                operator.index(value)
+            except TypeError:
+                raise ValueError(f"{name} must be an integer, got {value!r}") from None
         if self.n_pulses <= 0:
             raise ValueError(f"n_pulses must be > 0, got {self.n_pulses}")
         if not 0 <= self.seed < 2**64:

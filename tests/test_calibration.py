@@ -68,6 +68,19 @@ class TestExperimentRun:
         with pytest.raises(ValueError, match="run 4: bell_observed"):
             ExperimentRun(4, 10, 20, 1.0, bad)
 
+    # int(inf) raises OverflowError and int(nan) a ValueError naming neither
+    # the run nor the field, so the finite check has to come first
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("field", ["doubles_observed", "singles_observed"])
+    def test_non_finite_count_rejected(self, field, bad):
+        counts = {"doubles_observed": 10, "singles_observed": 20, field: bad}
+        with pytest.raises(ValueError, match=f"run 5: {field}"):
+            ExperimentRun(5, duration_s=1.0, **counts)
+
+    def test_integral_float_count_accepted(self):
+        run = ExperimentRun(6, 2.0, 3.0, 1.0)
+        assert (run.doubles_observed, run.singles_observed) == (2, 3)
+
 
 class TestBellCertificate:
     def test_chsh_bounds(self):

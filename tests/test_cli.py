@@ -4,11 +4,21 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import bellcal
-from bellcal import SourceParams, predict_bell
-from bellcal.cli import bundled_runs_path, read_report
+from bellcal import (
+    BellCertificate,
+    CalibrationReport,
+    PhysicalFit,
+    RunCalibration,
+    SourceParams,
+    predict_bell,
+)
+from bellcal.cli import bundled_runs_path, read_report, write_report
 
 RUN_HEADER = "run_id,doubles_observed,singles_observed,duration_s,bell_observed"
 
@@ -272,6 +282,23 @@ class TestSweep:
         assert result.returncode == 2
 
 
+class TestSweepGrid:
+    # the grid is built without numpy but must equal np.linspace bit for
+    # bit, or sweep --format json would print different lambdas
+    @pytest.mark.parametrize("bounds", [None, ("1e-9", "50")])
+    @pytest.mark.parametrize("steps", [2, 3, 100, 200, 1000])
+    def test_lambda_column_is_linspace(self, report_dir, bounds, steps):
+        args = ["sweep", "--report", "calibration_report.json", "--steps", str(steps)]
+        lo, hi = 0.0, 0.75
+        if bounds is not None:
+            args += ["--lambda-min", bounds[0], "--lambda-max", bounds[1]]
+            lo, hi = float(bounds[0]), float(bounds[1])
+        result = run_cli(*args, "--format", "json", cwd=report_dir)
+        assert result.returncode == 0, result.stderr
+        lambdas = [row["lambda"] for row in json.loads(result.stdout)]
+        assert lambdas == np.linspace(lo, hi, steps).tolist()
+
+
 class TestSimulate:
     ARGS = ("simulate", "--eta", "0.1134", "--lambda", "0.0849",
             "--pulses", "50000", "--seed", "12")
@@ -371,3 +398,41 @@ class TestReportFile:
         assert result.returncode == 2, result.stderr
         assert "edited.json" in result.stderr
         assert key in result.stderr
+
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def certificates(draw):
+    classical = draw(st.floats(min_value=0.0, max_value=1e300))
+    tsirelson = draw(st.floats(min_value=classical, exclude_min=True, allow_infinity=False))
+    return BellCertificate(draw(st.text(max_size=12)), tsirelson, classical, draw(st.booleans()))
+
+
+@st.composite
+def reports(draw):
+    fit = PhysicalFit(
+        slope_a=draw(FINITE),
+        intercept_b=draw(FINITE),
+        rmse=draw(st.floats(min_value=0.0, allow_infinity=False)),
+        eta_used=draw(FINITE),
+        xi_used=draw(FINITE),
+        alpha=draw(FINITE),
+        beta=draw(FINITE),
+    )
+    per_run = draw(
+        st.lists(st.builds(RunCalibration, st.integers(), FINITE, FINITE), max_size=8)
+    )
+    return CalibrationReport(eta_hat=draw(FINITE), per_run=tuple(per_run), fit=fit)
+
+
+class TestReportRoundTrip:
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(report=reports(), certificate=certificates(), pulse_freq_hz=FINITE)
+    def test_read_returns_what_was_written(
+        self, tmp_path_factory, report, certificate, pulse_freq_hz
+    ):
+        path = tmp_path_factory.getbasetemp() / "round_trip.json"
+        write_report(path, report, certificate, pulse_freq_hz)
+        assert read_report(path) == (report, certificate, pulse_freq_hz)

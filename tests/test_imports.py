@@ -1,0 +1,95 @@
+"""Import cost: numpy is loaded only when the Monte Carlo runs.
+
+Every subcommand but ``simulate`` starts from ``import bellcal.cli``, so a
+numpy import anywhere on that path costs each call most of its start-up time.
+"""
+
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
+import bellcal
+
+PACKAGE_ROOT = str(Path(bellcal.__file__).resolve().parent.parent)
+CHILD_ENV = {
+    **os.environ,
+    "PYTHONPATH": os.pathsep.join(filter(None, (PACKAGE_ROOT, os.environ.get("PYTHONPATH")))),
+}
+
+
+def run_child(code, cwd):
+    return subprocess.run(
+        [sys.executable, "-c", textwrap.dedent(code)],
+        capture_output=True,
+        text=True,
+        cwd=cwd,
+        env=CHILD_ENV,
+        timeout=120,
+    )
+
+
+def test_package_import_leaves_numpy_unloaded(tmp_path):
+    result = run_child(
+        """
+        import sys
+        import bellcal
+        assert "numpy" not in sys.modules, "import bellcal"
+        import bellcal.cli
+        assert "numpy" not in sys.modules, "import bellcal.cli"
+        """,
+        tmp_path,
+    )
+    assert result.returncode == 0, result.stderr
+
+
+def test_numpy_free_subcommands(tmp_path):
+    result = run_child(
+        """
+        import sys
+        from bellcal.cli import main
+        report = "calibration_report.json"
+        for argv in (
+            ["calibrate", "--format", "json"],
+            ["predict", "--report", report, "--rates", "1000,5000"],
+            ["predict", "--report", report, "--lambdas", "0.01,0.1"],
+            ["extrapolate", "--report", report, "--targets", "2.0,2.5,2.7"],
+            ["sweep", "--report", report, "--steps", "50", "--format", "csv"],
+        ):
+            assert main(argv) == 0, argv
+            assert "numpy" not in sys.modules, argv
+        """,
+        tmp_path,
+    )
+    assert result.returncode == 0, result.stderr
+
+
+def test_simulate_still_runs(tmp_path):
+    result = run_child(
+        """
+        import sys
+        from bellcal.cli import main
+        code = main(["simulate", "--eta", "0.1134", "--lambda", "0.0849", "--pulses", "20000"])
+        assert code == 0, code
+        assert "numpy" in sys.modules
+        """,
+        tmp_path,
+    )
+    assert result.returncode == 0, result.stderr
+
+
+def test_star_import_binds_all():
+    namespace = {}
+    exec("from bellcal import *", namespace)
+    assert set(bellcal.__all__) <= set(namespace)
+    for name in bellcal.__all__:
+        assert namespace[name] is getattr(bellcal, name)
+
+
+def test_dir_lists_all():
+    assert set(bellcal.__all__) <= set(dir(bellcal))
+
+
+def test_unknown_attribute_raises_attribute_error():
+    assert not hasattr(bellcal, "no_such_name")

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from bellcal import (
@@ -35,6 +36,34 @@ class TestSimConfig:
     def test_defaults(self):
         cfg = SimConfig(n_pulses=10, seed=0)
         assert cfg.block_size == 1 << 16
+
+    # a float seed used to be truncated by the Philox key (seed 1.5 drew
+    # seed 1's stream); float sizes failed only inside simulate_pulses
+    @pytest.mark.parametrize(
+        "field, bad",
+        [
+            ("seed", 1.5),
+            ("seed", math.nan),
+            ("seed", "1"),
+            ("n_pulses", 1.5),
+            ("n_pulses", math.nan),
+            ("n_pulses", math.inf),
+            ("n_pulses", 1000.0),
+            ("block_size", 0.5),
+            ("block_size", math.inf),
+        ],
+    )
+    def test_non_integer_fields_rejected(self, field, bad):
+        kwargs = {"n_pulses": 1000, "seed": 1, field: bad}
+        with pytest.raises(ValueError, match=field):
+            SimConfig(**kwargs)
+
+    def test_numpy_integers_accepted(self):
+        cfg = SimConfig(np.int64(1000), np.uint64(2**64 - 1), np.int32(256))
+        params = SourceParams(0.5, 0.1)
+        assert simulate_pulses(params, cfg) == simulate_pulses(
+            params, SimConfig(1000, 2**64 - 1, 256)
+        )
 
 
 class TestPulseTally:
