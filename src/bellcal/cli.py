@@ -528,6 +528,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     report, certificate, pulse_freq_hz = read_report(args.report)
     if args.steps < 2:
         raise ValueError(f"--steps must be >= 2, got {args.steps}")
+    for flag, value in (("--lambda-min", args.lambda_min), ("--lambda-max", args.lambda_max)):
+        if not math.isfinite(value):
+            raise ValueError(f"{flag} must be finite, got {value}")
     if not 0.0 <= args.lambda_min < args.lambda_max:
         raise ValueError(
             f"need 0 <= lambda_min < lambda_max, got "
@@ -563,6 +566,14 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     from .montecarlo import SimConfig, simulate_tally_and_chsh
 
     cfg = _load_config(args)
+    if not 0.0 <= args.eta <= 1.0:
+        raise ValueError(f"--eta must be in [0, 1], got {args.eta}")
+    if not 0.0 <= args.lambda_mean < math.inf:
+        raise ValueError(f"--lambda must be finite and >= 0, got {args.lambda_mean}")
+    if args.pulses <= 0:
+        raise ValueError(f"--pulses must be > 0, got {args.pulses}")
+    if not 0 <= args.seed < 2**64:
+        raise ValueError(f"--seed must fit in 64 unsigned bits, got {args.seed}")
     params = SourceParams(args.eta, args.lambda_mean, cfg.pulse_freq_hz)
     if not 0.0 <= args.visibility <= 1.0:
         raise ValueError(f"--visibility must be in [0, 1], got {args.visibility}")

@@ -25,10 +25,11 @@ Reproducibility contract (stable across versions):
   results from one pass.
 
 The block loop does less work than the contract describes without changing
-a single draw: only pulses with k > 0 go through the CDF search, the pair
-numbers are counted with ``np.bincount``, and one-pair pulses (k = 1) skip
-the assignment logic, which cannot change their outcome, though their
-``(m, 2, 1)`` assignment uniforms are still drawn to keep the stream.
+a single draw: the pulses per k come from counting the uniforms at or above
+each CDF edge, not from inverting each pulse; the stream moves past the
+``(m, 2, 1)`` assignment uniforms of one-pair pulses, which cannot change
+their outcome, in O(1) (Philox is counter-based); and for k >= 2 one mat-vec
+each counts a side's detected photons and those on detector 0.
 """
 
 from __future__ import annotations
@@ -36,6 +37,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
+from itertools import takewhile
 
 import numpy as np
 
@@ -104,9 +106,21 @@ def _block_rng(seed: int, block: int) -> np.random.Generator:
     )
 
 
+def _skip_draws(bit_gen: np.random.Philox, n_words: int) -> None:
+    # Philox hands out 64-bit words from a 4-word buffer, refilled by one
+    # counter step; advance() moves the counter and empties the buffer
+    left = 4 - bit_gen.state["buffer_pos"]
+    if n_words <= left:
+        bit_gen.random_raw(n_words)
+    else:
+        steps, rest = divmod(n_words - left, 4)
+        bit_gen.advance(steps)
+        bit_gen.random_raw(rest)
+
+
 def _poisson_cdf_table(lambda_mean: float) -> np.ndarray:
     # table covers all but < 1e-15 of the mass; draws beyond it are clipped
-    # to the last bin by searchsorted, which cannot bias any paper regime
+    # to the bin past its last edge, which cannot bias any paper regime
     top = int(lambda_mean + 20.0 * math.sqrt(lambda_mean)) + 40
     pmf = np.array([poisson_pmf(k, lambda_mean) for k in range(top + 1)])
     # upper tails P(K > k), summed from the far end so they stay accurate
@@ -137,38 +151,43 @@ def _run_blocks(
         n = min(cfg.block_size, cfg.n_pulses - block * cfg.block_size)
         rng = _block_rng(cfg.seed, block)
         u = rng.random(n)
-        # searchsorted(cdf, u, side="right") is 0 exactly when u < cdf[0],
-        # so only the pulses with at least one pair are searched
-        ks = np.searchsorted(cdf, u[u >= cdf[0]], side="right")
-        counts = np.bincount(ks)
+        # pulses with >= 1, 2, ... pairs, as searchsorted(cdf, u, side="right")
+        # >= k exactly when u >= cdf[k - 1]; the draws below need no more
+        counts = (int(np.count_nonzero(u >= edge)) for edge in cdf)
+        at_least = [*takewhile(bool, counts), 0]
         ent_flags = []
-        for k in np.flatnonzero(counts):
-            m = int(counts[k])
-            detected = rng.random((m, 2, k)) < eta
-            assigned = rng.random((m, 2, k)) < 0.5
+        for k in range(1, len(at_least)):
+            m = at_least[k - 1] - at_least[k]
+            if m == 0:
+                continue
             if k == 1:
-                # one pair: the assignment draws keep the stream but cannot
-                # change the outcome; a double is always the pair itself
-                side_a, side_b = detected[:, 0, 0], detected[:, 1, 0]
-                is_double = side_a & side_b
-                n_double = int(np.count_nonzero(is_double))
+                # one pair: the (m, 2, 1) assignment draws cannot change the
+                # outcome, so the stream skips them; a double is the pair
+                detected = rng.random((m, 2)) < eta
+                _skip_draws(rng.bit_generator, 2 * m)
+                side_a, side_b = detected[:, 0], detected[:, 1]
+                n_double = int(np.count_nonzero(side_a & side_b))
                 singles += int(np.count_nonzero(side_a ^ side_b))
                 doubles += n_double
                 entangled += n_double
                 if want_chsh:
                     ent_flags.append(np.ones(n_double, dtype=bool))
                 continue
-            n_det = detected.sum(axis=2)
+            detected = (rng.random((2 * m, k)) < eta).astype(np.float64)
+            on = detected * (rng.random((2 * m, k)) < 0.5)
+            # per side, photons detected and those on detector 0: exact sums
+            # of 0/1 by mat-vec, not a reduction over the short pair axis
+            n_det = (detected @ np.ones(k)).reshape(m, 2)
+            n_on = (on @ np.ones(k)).reshape(m, 2)
+            fired = (n_on > 0) + (n_det > n_on).astype(np.int64)
+            singles += int(np.count_nonzero(fired[:, 0] + fired[:, 1] == 1))
             is_double = (n_det[:, 0] > 0) & (n_det[:, 1] > 0)
-            is_entangled = (
-                (n_det[:, 0] == 1)
-                & (n_det[:, 1] == 1)
-                & (detected[:, 0, :].argmax(axis=1) == detected[:, 1, :].argmax(axis=1))
-            )
-            on = detected & assigned
-            fired = on.any(axis=2).sum(axis=1) + (detected ^ on).any(axis=2).sum(axis=1)
-            singles += int(np.count_nonzero(fired == 1))
             doubles += int(np.count_nonzero(is_double))
+            # entangled: one photon per side, both from the same pair
+            is_entangled = (n_det[:, 0] == 1) & (n_det[:, 1] == 1)
+            rows = np.flatnonzero(is_entangled)
+            pair = detected.reshape(m, 2, k)[rows].argmax(axis=2)
+            is_entangled[rows] = pair[:, 0] == pair[:, 1]
             entangled += int(np.count_nonzero(is_entangled))
             if want_chsh:
                 ent_flags.append(is_entangled[is_double])

@@ -281,6 +281,18 @@ class TestSweep:
         )
         assert result.returncode == 2
 
+    # --lambda-max inf used to reach the library, whose message named
+    # neither flag; nan failed the ordering check with a generic message
+    @pytest.mark.parametrize("flag", ["--lambda-min", "--lambda-max"])
+    @pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
+    def test_non_finite_bound_named(self, report_dir, flag, value):
+        result = run_cli(
+            "sweep", "--report", "calibration_report.json", f"{flag}={value}",
+            cwd=report_dir, timeout=60,
+        )
+        assert result.returncode == 2
+        assert f"{flag} must be finite" in result.stderr
+
 
 class TestSweepGrid:
     # the grid is built without numpy but must equal np.linspace bit for
@@ -326,6 +338,26 @@ class TestSimulate:
             "simulate", "--eta", "1.5", "--lambda", "0.1", cwd=tmp_path,
         )
         assert result.returncode == 2
+
+    # each message names the flag, not the library field behind it
+    @pytest.mark.parametrize(
+        "flag, value",
+        [
+            ("--lambda", "inf"),
+            ("--lambda", "nan"),
+            ("--pulses", "0"),
+            ("--eta", "2"),
+            ("--seed", "-1"),
+            ("--seed", str(2**64)),
+        ],
+    )
+    def test_bad_value_names_the_flag(self, tmp_path, flag, value):
+        args = {"--eta": "0.1134", "--lambda": "0.0849", "--pulses": "1000", "--seed": "1"}
+        args[flag] = value
+        argv = [f"{name}={text}" for name, text in args.items()]
+        result = run_cli("simulate", *argv, cwd=tmp_path, timeout=60)
+        assert result.returncode == 2
+        assert result.stderr.startswith(f"error: {flag} must ")
 
 
 class TestConfig:

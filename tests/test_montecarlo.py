@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bellcal import (
     ChshEstimate,
@@ -15,6 +17,7 @@ from bellcal import (
     simulate_tally_and_chsh,
     visibility,
 )
+from bellcal.montecarlo import _E_IDEAL, _block_rng, _poisson_cdf_table
 
 
 def rate_z(params, kind, observed, n):
@@ -281,6 +284,20 @@ GOLDEN_BRANCHES = (
     (1.0, 0.05, 0, 50_000, 8192, (0, 2485, 2424), 2.579962106509421, (621, 650, 585, 629)),
     (1.0, 0.05, 20260819, 50_000, 8192, (0, 2414, 2342), 2.4475735912464973, (586, 622, 610, 596)),
     (0.1134, 0.0849, 20260819, 200_000, 1 << 16, (3408, 248, 233), 2.7357415776047853, (66, 65, 53, 64)),
+    # blocks of 1, 2 and 3 pulses start the skip of the one-pair assignment
+    # draws at every position of Philox's 4-word buffer, inside it included
+    (0.5, 0.75, 0, 3000, 1, (602, 586, 334), 1.2153305277351865, (140, 145, 150, 151)),
+    (0.93, 0.3, 2**64 - 1, 3000, 1, (84, 688, 575), 2.115441506212327, (179, 173, 182, 154)),
+    (0.5, 0.75, 1, 3000, 2, (656, 577, 324), 1.2939783447087039, (148, 144, 136, 149)),
+    (0.93, 0.75, 2**64 - 1, 3001, 2, (151, 1452, 942), 1.6484063403650013, (368, 355, 365, 364)),
+    (0.5, 0.75, 20260819, 3001, 3, (675, 577, 310), 1.453422632677681, (157, 118, 139, 163)),
+    (0.1134, 0.3, 1, 3001, 3, (177, 12, 6), 0.6666666666666665, (3, 3, 2, 4)),
+    # lambda = 40: k from about 10 to 70, no one-pair pulse
+    (0.5, 40.0, 0, 301, 8192, (0, 301, 0), 0.2846294267981015, (80, 83, 72, 66)),
+    (0.1134, 40.0, 2**64 - 1, 301, 8192, (2, 294, 0), 0.28806784156387527, (85, 81, 69, 59)),
+    # three pulses
+    (0.93, 0.75, 0, 3, 8192, (0, 0, 0), NAN, (0, 0, 0, 0)),
+    (0.5, 2.0, 1, 3, 8192, (2, 0, 0), NAN, (0, 0, 0, 0)),
 )
 
 
@@ -295,3 +312,125 @@ def test_seed_contract_goldens_branches(eta, lam, seed, pulses, block, counts, b
         assert math.isnan(estimate.bell_value)
     else:
         assert estimate.bell_value == bell
+
+
+# The block loop as it stood before it counted pulses per k by threshold,
+# skipped the one-pair assignment draws and counted by mat-vec, kept as the
+# oracle that the present loop must match draw for draw.
+def reference_run_blocks(
+    params: SourceParams,
+    cfg: SimConfig,
+    state_visibility: float | None,
+) -> tuple[PulseTally, ChshEstimate | None]:
+    """Shared block loop; draws CHSH outcomes only when a visibility is given."""
+    want_chsh = state_visibility is not None
+    cdf = _poisson_cdf_table(params.lambda_mean)
+    eta = params.eta
+    singles = doubles = entangled = 0
+    sum_ab = np.zeros(4)
+    n_ab = np.zeros(4, dtype=np.int64)
+    n_blocks = (cfg.n_pulses + cfg.block_size - 1) // cfg.block_size
+    for block in range(n_blocks):
+        n = min(cfg.block_size, cfg.n_pulses - block * cfg.block_size)
+        rng = _block_rng(cfg.seed, block)
+        u = rng.random(n)
+        # searchsorted(cdf, u, side="right") is 0 exactly when u < cdf[0],
+        # so only the pulses with at least one pair are searched
+        ks = np.searchsorted(cdf, u[u >= cdf[0]], side="right")
+        counts = np.bincount(ks)
+        ent_flags = []
+        for k in np.flatnonzero(counts):
+            m = int(counts[k])
+            detected = rng.random((m, 2, k)) < eta
+            assigned = rng.random((m, 2, k)) < 0.5
+            if k == 1:
+                # one pair: the assignment draws keep the stream but cannot
+                # change the outcome; a double is always the pair itself
+                side_a, side_b = detected[:, 0, 0], detected[:, 1, 0]
+                is_double = side_a & side_b
+                n_double = int(np.count_nonzero(is_double))
+                singles += int(np.count_nonzero(side_a ^ side_b))
+                doubles += n_double
+                entangled += n_double
+                if want_chsh:
+                    ent_flags.append(np.ones(n_double, dtype=bool))
+                continue
+            n_det = detected.sum(axis=2)
+            is_double = (n_det[:, 0] > 0) & (n_det[:, 1] > 0)
+            is_entangled = (
+                (n_det[:, 0] == 1)
+                & (n_det[:, 1] == 1)
+                & (detected[:, 0, :].argmax(axis=1) == detected[:, 1, :].argmax(axis=1))
+            )
+            on = detected & assigned
+            fired = on.any(axis=2).sum(axis=1) + (detected ^ on).any(axis=2).sum(axis=1)
+            singles += int(np.count_nonzero(fired == 1))
+            doubles += int(np.count_nonzero(is_double))
+            entangled += int(np.count_nonzero(is_entangled))
+            if want_chsh:
+                ent_flags.append(is_entangled[is_double])
+        if want_chsh and ent_flags:
+            flags = np.concatenate(ent_flags)
+            nd = flags.size
+            settings = np.minimum((rng.random(nd) * 4).astype(np.int64), 3)
+            a_out = np.where(rng.random(nd) < 0.5, 1.0, -1.0)
+            corr = np.where(flags, state_visibility * _E_IDEAL[settings], 0.0)
+            # P(b = a | setting) = (1 + E)/2 gives uniform marginals and
+            # correlator E exactly
+            b_out = a_out * np.where(rng.random(nd) < (1.0 + corr) / 2.0, 1.0, -1.0)
+            sum_ab += np.bincount(settings, weights=a_out * b_out, minlength=4)
+            n_ab += np.bincount(settings, minlength=4)
+
+    tally = PulseTally(
+        pulses=cfg.n_pulses,
+        singles=singles,
+        doubles=doubles,
+        entangled_coincidences=entangled,
+    )
+    if not want_chsh:
+        return tally, None
+    # Jeffreys rather than plug-in (4ab/n^3) variance per setting, so that a
+    # setting whose few events all agree does not claim zero error
+    agree = (n_ab + sum_ab) / 2.0
+    disagree = n_ab - agree
+    with np.errstate(invalid="ignore", divide="ignore"):
+        corrs = sum_ab / n_ab
+    variances = np.where(
+        n_ab > 0, 4.0 * (agree + 0.5) * (disagree + 0.5) / (n_ab + 1.0) ** 3, np.nan
+    )
+    bell = float(corrs[0] + corrs[1] + corrs[2] - corrs[3])
+    estimate = ChshEstimate(
+        bell_value=bell,
+        correlators=tuple(float(c) for c in corrs),
+        setting_counts=tuple(int(c) for c in n_ab),
+        std_error=float(np.sqrt(np.sum(variances))),
+    )
+    return tally, estimate
+
+
+def same_estimate(one, two):
+    pairs = zip(
+        (one.bell_value, one.std_error, *one.correlators),
+        (two.bell_value, two.std_error, *two.correlators),
+    )
+    return one.setting_counts == two.setting_counts and all(
+        a == b or (math.isnan(a) and math.isnan(b)) for a, b in pairs
+    )
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(
+    eta=st.floats(0.0, 1.0),
+    lam=st.one_of(st.just(0.0), st.floats(1e-6, 40.0)),
+    seed=st.integers(0, 2**64 - 1),
+    block=st.integers(1, 9000),
+    pulses=st.integers(1, 20_000),
+    vis=st.floats(0.0, 1.0),
+)
+def test_block_loop_matches_reference(eta, lam, seed, block, pulses, vis):
+    params = SourceParams(eta, lam)
+    cfg = SimConfig(n_pulses=pulses, seed=seed, block_size=block)
+    tally, estimate = simulate_tally_and_chsh(params, vis, cfg)
+    ref_tally, ref_estimate = reference_run_blocks(params, cfg, vis)
+    assert tally == ref_tally
+    assert same_estimate(estimate, ref_estimate)
