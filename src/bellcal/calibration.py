@@ -12,9 +12,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Sequence
+from typing import TYPE_CHECKING, Callable, NamedTuple, Sequence
 
-from .clicks import DEFAULT_PULSE_FREQ_HZ, _check_solver_source, _double_entangled, xi
+from .clicks import DEFAULT_PULSE_FREQ_HZ, _check_solver_source, xi
+from .clicks import _double_entangled, _double_entangled_slopes
 
 if TYPE_CHECKING:
     import numpy as np
@@ -106,16 +107,17 @@ class BellCertificate:
                 "classical_bound must be below tsirelson_bound, got "
                 f"{self.classical_bound} >= {self.tsirelson_bound}"
             )
+        if not isinstance(self.trace_zero, bool):
+            raise ValueError(f"trace_zero must be true or false, got {self.trace_zero!r}")
+
+
+_CHSH = BellCertificate("CHSH", tsirelson_bound=2.0 * math.sqrt(2.0), classical_bound=2.0)
 
 
 def chsh_certificate() -> BellCertificate:
-    """The CHSH expression: quantum bound 2*sqrt(2), classical bound 2."""
-    return BellCertificate(
-        name="CHSH",
-        tsirelson_bound=2.0 * math.sqrt(2.0),
-        classical_bound=2.0,
-        trace_zero=True,
-    )
+    """The CHSH expression: quantum bound 2*sqrt(2), classical bound 2 (one
+    shared instance; BellCertificate is frozen)."""
+    return _CHSH
 
 
 @dataclass(frozen=True)
@@ -144,8 +146,7 @@ class PhysicalFit:
             raise ValueError(f"rmse must be >= 0, got {self.rmse}")
 
 
-@dataclass(frozen=True)
-class RunCalibration:
+class RunCalibration(NamedTuple):
     """Per-run calibration outputs: recovered lambda and the fit-line value."""
 
     run_id: int
@@ -279,7 +280,8 @@ def solve_lambda_from_doubles(
     pulses = pulse_freq_hz * duration_s
 
     def excess(lam: float) -> tuple[float, float]:
-        double, _, double_slope, _ = _double_entangled(eta, lam)
+        double, _ = _double_entangled(eta, lam)
+        double_slope, _ = _double_entangled_slopes(eta, lam)
         return pulses * double - doubles, pulses * double_slope
 
     return _newton_lambda(

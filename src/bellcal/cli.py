@@ -85,10 +85,16 @@ class ToolConfig:
     def __post_init__(self) -> None:
         for name in ("pulse_freq_hz", "lambda_tol", "bell_tol"):
             value = getattr(self, name)
-            if not 0.0 < value < math.inf:
-                raise ValueError(f"{name} must be finite and > 0, got {value}")
-        if self.decimals < 0:
-            raise ValueError(f"decimals must be >= 0, got {self.decimals}")
+            if not (_is_real(value) and 0.0 < value < math.inf):
+                raise ValueError(f"{name} must be a finite number > 0, got {value!r}")
+        # a huge precision would make every formatted cell that long
+        if type(self.decimals) is not int or not 0 <= self.decimals <= 20:
+            raise ValueError(f"decimals must be an integer in [0, 20], got {self.decimals!r}")
+
+
+def _is_real(value: object) -> bool:
+    """A JSON number: int or float, not bool (a subclass of int)."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 _CONFIG_KEYS = (
@@ -248,7 +254,9 @@ def read_report(
     try:
         certificate = BellCertificate(**raw["certificate"])
         fit = PhysicalFit(**raw["fit"])
-        per_run = tuple(RunCalibration(**rc) for rc in raw["per_run"])
+        per_run = tuple(
+            _read_run_calibration(i, rc) for i, rc in enumerate(raw["per_run"])
+        )
         report = CalibrationReport(
             eta_hat=float(raw["eta_hat"]), per_run=per_run, fit=fit
         )
@@ -259,6 +267,18 @@ def read_report(
     except (KeyError, TypeError, ValueError) as exc:
         raise ReportFileError(f"{path}: malformed report ({exc})") from exc
     return report, certificate, pulse_freq_hz
+
+
+def _read_run_calibration(index: int, raw: dict) -> RunCalibration:
+    """One per_run entry, checked here: RunCalibration checks nothing."""
+    rc = RunCalibration(**raw)
+    if type(rc.run_id) is not int:
+        raise ValueError(f"per_run[{index}].run_id must be an integer, got {rc.run_id!r}")
+    for key in ("lambda_calc", "bell_linear_fit"):
+        value = getattr(rc, key)
+        if not (_is_real(value) and math.isfinite(value)):
+            raise ValueError(f"per_run[{index}].{key} must be a finite number, got {value!r}")
+    return rc
 
 
 def _format_cell(value: object, decimals: int) -> str:

@@ -135,34 +135,33 @@ def expected_rate(params: SourceParams, kind: ClickKind) -> float:
     at lambda_mean = 0 (no pairs, no clicks).
     """
     eta = params.eta
-    a = params.lambda_mean * eta
     if kind is ClickKind.SINGLE:
+        a = params.lambda_mean * eta
         return -4.0 * math.exp(-a * (3.0 - eta) / 2.0) * math.expm1(-a * (1.0 - eta) / 2.0)
+    double, entangled = _double_entangled(eta, params.lambda_mean)
+    return double if kind is ClickKind.DOUBLE else entangled
+
+
+def _double_entangled(eta: float, lambda_mean: float) -> tuple[float, float]:
+    """(D, E), the double and entangled rates of expected_rate: the one place
+    their closed forms are written. No validation: callers check once."""
+    a = lambda_mean * eta
     # probability that no photon of the pulse is detected
     dark = math.exp(-a * (2.0 - eta))
-    if kind is ClickKind.DOUBLE:
-        return math.expm1(-a) ** 2 - dark * math.expm1(-a * eta)
-    return a * eta * dark
+    return math.expm1(-a) ** 2 - dark * math.expm1(-a * eta), a * eta * dark
 
 
-def _double_entangled(eta: float, lambda_mean: float) -> tuple[float, float, float, float]:
-    """Double and entangled rates with their lambda-derivatives, for the solvers.
-
-    Returns (D, E, dD/dlambda, dE/dlambda). D and E are the expressions of
-    expected_rate, so the values are bit-identical. With a = lambda * eta:
+def _double_entangled_slopes(eta: float, lambda_mean: float) -> tuple[float, float]:
+    """(dD/dlambda, dE/dlambda) for the Newton solvers. With a = lambda * eta:
 
         dD/dlambda = eta e^{-a} (eta - (2-eta) expm1(-a(1-eta)))
         dE/dlambda = eta^2 e^{-a(2-eta)} (1 - a(2-eta))
 
-    Both terms of dD/dlambda are >= 0, so nothing cancels. No validation:
-    callers check eta and lambda_mean once per public call.
+    Both terms of dD/dlambda are >= 0, so nothing cancels. No validation.
     """
     a = lambda_mean * eta
-    dark = math.exp(-a * (2.0 - eta))
-    double = math.expm1(-a) ** 2 - dark * math.expm1(-a * eta)
     double_slope = eta * math.exp(-a) * (eta - (2.0 - eta) * math.expm1(-a * (1.0 - eta)))
-    entangled_slope = eta * eta * dark * (1.0 - a * (2.0 - eta))
-    return double, a * eta * dark, double_slope, entangled_slope
+    return double_slope, eta * eta * math.exp(-a * (2.0 - eta)) * (1.0 - a * (2.0 - eta))
 
 
 def _check_duration(duration_s: float) -> None:

@@ -11,8 +11,7 @@ directions (lambda -> B and target B -> lambda).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .calibration import (
     BellCertificate,
@@ -28,6 +27,7 @@ from .clicks import (
     SourceParams,
     _check_solver_source,
     _double_entangled,
+    _double_entangled_slopes,
     expected_rate,
     xi,
 )
@@ -37,8 +37,7 @@ class InfeasibleTargetError(ModelError):
     """The requested Bell value lies outside the solvable range."""
 
 
-@dataclass(frozen=True)
-class PredictionPoint:
+class PredictionPoint(NamedTuple):
     """One forward-model evaluation: (lambda, visibility, Bell, events/s)."""
 
     lambda_mean: float
@@ -143,7 +142,8 @@ def solve_lambda_for_rate(
     _check_solver_source(eta, pulse_freq_hz)
 
     def excess(lam: float) -> tuple[float, float]:
-        double, _, double_slope, _ = _double_entangled(eta, lam)
+        double, _ = _double_entangled(eta, lam)
+        double_slope, _ = _double_entangled_slopes(eta, lam)
         return pulse_freq_hz * double - rate, pulse_freq_hz * double_slope
 
     return _newton_lambda(
@@ -190,11 +190,12 @@ def solve_lambda_for_bell(
 
     def excess(lam: float) -> tuple[float, float]:
         # target - B(lambda) and its slope -dB/dlambda = -scale dv/dlambda
-        double, entangled, double_slope, entangled_slope = _double_entangled(eta, lam)
+        double, entangled = _double_entangled(eta, lam)
         if double == 0.0:
             # v = 1 at zero power (see visibility), where dv/dlambda = -xi/2
             return target_bell - (scale - fit.beta), 0.5 * scale * fit.xi_used
         vis = entangled / double
+        double_slope, entangled_slope = _double_entangled_slopes(eta, lam)
         return (
             target_bell - (scale * vis - fit.beta),
             -scale * (entangled_slope - vis * double_slope) / double,
@@ -238,11 +239,10 @@ def sweep(
     cert = chsh_certificate() if cert is None else cert
     _check_fit_consistency(fit, cert, eta)
     scale = fit.alpha * cert.tsirelson_bound
+    beta = fit.beta
     points = []
     for lam in grid:
-        double, entangled, _, _ = _double_entangled(eta, lam)
+        double, entangled = _double_entangled(eta, lam)
         vis = entangled / double if double != 0.0 else 1.0
-        points.append(
-            PredictionPoint(lam, vis, scale * vis - fit.beta, pulse_freq_hz * double)
-        )
+        points.append(PredictionPoint(lam, vis, scale * vis - beta, pulse_freq_hz * double))
     return tuple(points)

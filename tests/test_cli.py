@@ -395,6 +395,57 @@ class TestConfig:
         row = result.stdout.splitlines()[1]
         assert row.split(",")[1] == "1.000000"
 
+    # decimals = 10^7 used to hang the sweep formatting cells; strings,
+    # floats and bools got through to a format spec or a comparison, or
+    # were read as numbers, and the message named neither file nor key
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("decimals", 10_000_000),
+            ("decimals", 21),
+            ("decimals", -1),
+            ("decimals", 2.5),
+            ("decimals", "3"),
+            ("decimals", True),
+            ("pulse_freq_hz", "8e7"),
+            ("pulse_freq_hz", 0),
+            ("lambda_tol", True),
+            ("bell_tol", None),
+        ],
+    )
+    def test_bad_value_names_the_file_and_key(self, report_dir, tmp_path, key, value):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({key: value}))
+        result = run_cli(
+            "sweep", "--report", str(report_dir / "calibration_report.json"),
+            "--steps", "100", "--config", str(cfg), cwd=tmp_path, timeout=60,
+        )
+        assert result.returncode == 2, result.stderr
+        assert "cfg.json" in result.stderr
+        assert key in result.stderr
+
+    def test_certificate_trace_zero_must_be_a_bool(self, report_dir, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cert = {"name": "CHSH", "tsirelson_bound": 2.8, "classical_bound": 2.0}
+        cfg.write_text(json.dumps({"certificate": {**cert, "trace_zero": "no"}}))
+        result = run_cli(
+            "predict", "--report", str(report_dir / "calibration_report.json"),
+            "--lambdas", "0.1", "--config", str(cfg), cwd=tmp_path, timeout=60,
+        )
+        assert result.returncode == 2, result.stderr
+        assert "cfg.json" in result.stderr
+        assert "trace_zero" in result.stderr
+
+    def test_largest_decimals_accepted(self, report_dir, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"decimals": 20}')
+        result = run_cli(
+            "predict", "--report", str(report_dir / "calibration_report.json"),
+            "--lambdas", "0", "--config", str(cfg), "--format", "csv", cwd=tmp_path,
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.splitlines()[1].split(",")[1] == "1." + "0" * 20
+
 
 class TestReportFile:
     def test_wrong_schema_rejected(self, tmp_path):
@@ -407,13 +458,16 @@ class TestReportFile:
         assert "schema" in result.stderr
 
     # Python's json reads NaN and Infinity literals, so the report reader
-    # itself must reject them rather than let them reach the model
+    # itself must reject them rather than let them reach the model; a
+    # non-bool trace_zero used to be read as its truth value
     @pytest.mark.parametrize(
         "section, key, value",
         [
             ("fit", "alpha", float("nan")),
             (None, "eta_hat", float("inf")),
             ("certificate", "tsirelson_bound", float("inf")),
+            ("certificate", "trace_zero", "no"),
+            ("certificate", "trace_zero", 1),
         ],
     )
     def test_non_finite_value_names_the_file_and_key(
@@ -430,6 +484,34 @@ class TestReportFile:
         assert result.returncode == 2, result.stderr
         assert "edited.json" in result.stderr
         assert key in result.stderr
+
+    # RunCalibration is a named tuple that checks nothing, so the reader
+    # checks the per-run entries itself
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("lambda_calc", float("nan")),
+            ("lambda_calc", "0.1"),
+            ("bell_linear_fit", float("-inf")),
+            ("run_id", "1"),
+            ("run_id", 1.0),
+            ("run_id", True),
+        ],
+    )
+    def test_bad_per_run_value_names_the_file_and_key(
+        self, report_path, tmp_path, key, value
+    ):
+        payload = json.loads(report_path.read_text())
+        payload["per_run"][0][key] = value
+        edited = tmp_path / "edited.json"
+        edited.write_text(json.dumps(payload))
+        result = run_cli(
+            "predict", "--report", "edited.json", "--lambdas", "0.1",
+            cwd=tmp_path, timeout=60,
+        )
+        assert result.returncode == 2, result.stderr
+        assert "edited.json" in result.stderr
+        assert f"per_run[0].{key}" in result.stderr
 
 
 FINITE = st.floats(allow_nan=False, allow_infinity=False)

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import bellcal.calibration
+import bellcal.clicks
 import bellcal.prediction
 from bellcal import (
     ModelError,
@@ -21,25 +22,39 @@ from bellcal import (
     solve_lambda_for_bell,
     solve_lambda_for_rate,
     solve_lambda_from_doubles,
+    sweep,
 )
-from bellcal.clicks import _double_entangled
 
 PROPERTY = settings(derandomize=True, max_examples=300, deadline=None)
 TSIRELSON = chsh_certificate().tsirelson_bound
 
 
-@pytest.fixture
-def kernel_calls(monkeypatch):
-    """Count calls to the rate kernel through every module that binds it."""
-    calls = [0]
+def count_calls(monkeypatch, name):
+    """Count the solvers' and sweep's calls to a private clicks kernel;
+    returns [calls since the last reset] and [calls in all]. clicks itself
+    is left alone, so expected_rate's calls are not counted."""
+    kernel = getattr(bellcal.clicks, name)
+    calls, total = [0], [0]
 
     def counted(eta, lambda_mean):
         calls[0] += 1
-        return _double_entangled(eta, lambda_mean)
+        total[0] += 1
+        return kernel(eta, lambda_mean)
 
+    # raising=True: a module that no longer binds the name fails here
     for module in (bellcal.calibration, bellcal.prediction):
-        monkeypatch.setattr(module, "_double_entangled", counted)
-    return calls
+        monkeypatch.setattr(module, name, counted)
+    return calls, total
+
+
+@pytest.fixture
+def kernel_calls(monkeypatch):
+    """Value-kernel call counter for the budget tests. A test that counted no
+    call fails: every budget would pass vacuously if the solvers called the
+    kernel by another name."""
+    calls, total = count_calls(monkeypatch, "_double_entangled")
+    yield calls
+    assert total[0] > 0, "no call to the value kernel _double_entangled was counted"
 
 
 class TestEvaluationBudget:
@@ -82,6 +97,21 @@ class TestEvaluationBudget:
         assert len(checks) == 1
         bellcal.prediction.sweep(fit, fit.eta_used, np.linspace(0.0, 0.75, 50))
         assert len(checks) == 2
+
+    def test_sweep_one_value_call_per_point_and_no_slope_call(
+        self, reference_report, monkeypatch
+    ):
+        values, _ = count_calls(monkeypatch, "_double_entangled")
+        slopes, _ = count_calls(monkeypatch, "_double_entangled_slopes")
+        fit = reference_report.fit
+        for n in (1, 7, 500):
+            values[0] = slopes[0] = 0
+            sweep(fit, fit.eta_used, np.geomspace(1e-9, 50.0, n))
+            assert (values[0], slopes[0]) == (n, 0)
+        # both counters see the solvers, so neither can read 0 by a rename
+        values[0] = slopes[0] = 0
+        solve_lambda_for_bell(fit, 2.3, fit.eta_used)
+        assert values[0] == slopes[0] > 0
 
 
 # Round trips: the solver stops within tol of the root of the rounded
