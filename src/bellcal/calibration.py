@@ -43,6 +43,12 @@ class ModelAssumptionError(ModelError):
     """An input violates an assumption the noise model depends on."""
 
 
+def _is_real(value: object) -> bool:
+    """A number as the records and file readers take it: int or float
+    (np.float64 included), not bool (a subclass of int)."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class ExperimentRun:
     """One measurement campaign row.
@@ -94,6 +100,12 @@ class BellCertificate:
     trace_zero: bool = True
 
     def __post_init__(self) -> None:
+        if not isinstance(self.name, str):
+            raise ValueError(f"name must be a string, got {self.name!r}")
+        for key in ("tsirelson_bound", "classical_bound"):
+            value = getattr(self, key)
+            if not _is_real(value):
+                raise ValueError(f"{key} must be a number, got {value!r}")
         if not 0.0 < self.tsirelson_bound < math.inf:
             raise ValueError(
                 f"tsirelson_bound must be finite and > 0, got {self.tsirelson_bound}"
@@ -140,6 +152,8 @@ class PhysicalFit:
 
     def __post_init__(self) -> None:
         for name, value in vars(self).items():
+            if not _is_real(value):
+                raise ValueError(f"{name} must be a number, got {value!r}")
             if not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value}")
         if self.rmse < 0.0:
@@ -277,19 +291,28 @@ def solve_lambda_from_doubles(
     if not 0.0 < duration_s < math.inf:
         raise ValueError(f"duration_s must be finite and > 0, got {duration_s}")
 
-    pulses = pulse_freq_hz * duration_s
+    return _lambda_for_doubles(
+        doubles,
+        pulse_freq_hz * duration_s,
+        eta,
+        tol,
+        f"expected doubles never reach {doubles}",
+    )
+
+
+def _lambda_for_doubles(
+    target: float, pulses: float, eta: float, tol: float, unreached: str
+) -> float:
+    """Root in lambda of pulses * D(eta, lambda) = target, by _newton_lambda
+    from the first-order guess target / (pulses eta^2); the caller has
+    checked its inputs."""
 
     def excess(lam: float) -> tuple[float, float]:
         double, _ = _double_entangled(eta, lam)
         double_slope, _ = _double_entangled_slopes(eta, lam)
-        return pulses * double - doubles, pulses * double_slope
+        return pulses * double - target, pulses * double_slope
 
-    return _newton_lambda(
-        excess,
-        doubles / pulses / eta / eta,
-        tol,
-        f"expected doubles never reach {doubles}",
-    )
+    return _newton_lambda(excess, target / pulses / eta / eta, tol, unreached)
 
 
 def solve_lambda_from_counts(

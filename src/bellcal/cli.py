@@ -20,7 +20,7 @@ import io
 import json
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from importlib.resources import files as _resource_files
 from pathlib import Path
 from typing import Callable, Sequence
@@ -33,6 +33,7 @@ from .calibration import (
     ModelError,
     PhysicalFit,
     RunCalibration,
+    _is_real,
     calibrate,
     chsh_certificate,
 )
@@ -56,6 +57,7 @@ REPORT_SCHEMA = "bellcal.calibration/1"
 
 RUN_COLUMNS_REQUIRED = ("run_id", "doubles_observed", "singles_observed", "duration_s")
 RUN_COLUMNS_OPTIONAL = ("bell_observed",)
+FORWARD_COLUMNS = ("lambda", "visibility", "bell", "events_per_second")
 
 BUNDLED_RUNS = "paper_table2.csv"
 
@@ -92,42 +94,32 @@ class ToolConfig:
             raise ValueError(f"decimals must be an integer in [0, 20], got {self.decimals!r}")
 
 
-def _is_real(value: object) -> bool:
-    """A JSON number: int or float, not bool (a subclass of int)."""
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+def _read_json(path: str | Path, error: type[ValueError]) -> object:
+    try:
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+    except json.JSONDecodeError as exc:
+        raise error(f"{path}: not valid JSON ({exc})") from exc
 
 
-_CONFIG_KEYS = (
-    "pulse_freq_hz",
-    "lambda_tol",
-    "bell_tol",
-    "decimals",
-    "certificate",
-)
-_CERT_KEYS = ("name", "tsirelson_bound", "classical_bound", "trace_zero")
+def _reject_unknown_keys(path: str | Path, what: str, raw: dict, record: type) -> None:
+    unknown = sorted(set(raw) - {f.name for f in fields(record)})
+    if unknown:
+        raise ConfigFileError(f"{path}: unknown {what} keys: {', '.join(unknown)}")
 
 
 def read_config(path: str | Path) -> ToolConfig:
-    """Load a JSON config; unknown keys are rejected by name."""
-    try:
-        raw = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise ConfigFileError(f"{path}: not valid JSON ({exc})") from exc
+    """Load a JSON config; keys that are not ToolConfig or BellCertificate
+    fields are rejected by name."""
+    raw = _read_json(path, ConfigFileError)
     if not isinstance(raw, dict):
         raise ConfigFileError(f"{path}: top level must be a JSON object")
-    unknown = sorted(set(raw) - set(_CONFIG_KEYS))
-    if unknown:
-        raise ConfigFileError(f"{path}: unknown config keys: {', '.join(unknown)}")
-    kwargs = {k: v for k, v in raw.items() if k != "certificate"}
+    _reject_unknown_keys(path, "config", raw, ToolConfig)
+    kwargs = dict(raw)
     if "certificate" in raw:
         cert_raw = raw["certificate"]
         if not isinstance(cert_raw, dict):
             raise ConfigFileError(f"{path}: certificate must be a JSON object")
-        unknown = sorted(set(cert_raw) - set(_CERT_KEYS))
-        if unknown:
-            raise ConfigFileError(
-                f"{path}: unknown certificate keys: {', '.join(unknown)}"
-            )
+        _reject_unknown_keys(path, "certificate", cert_raw, BellCertificate)
         try:
             kwargs["certificate"] = BellCertificate(**cert_raw)
         except (TypeError, ValueError) as exc:
@@ -206,35 +198,16 @@ def write_report(
     certificate: BellCertificate,
     pulse_freq_hz: float,
 ) -> None:
-    """Serialize a calibration to JSON with full-precision floats."""
-    fit = report.fit
+    """Serialize a calibration to JSON with full-precision floats; the
+    certificate, fit and per-run objects carry their records' fields in
+    field order."""
     payload = {
         "schema": REPORT_SCHEMA,
         "pulse_freq_hz": pulse_freq_hz,
-        "certificate": {
-            "name": certificate.name,
-            "tsirelson_bound": certificate.tsirelson_bound,
-            "classical_bound": certificate.classical_bound,
-            "trace_zero": certificate.trace_zero,
-        },
+        "certificate": vars(certificate),
         "eta_hat": report.eta_hat,
-        "fit": {
-            "slope_a": fit.slope_a,
-            "intercept_b": fit.intercept_b,
-            "rmse": fit.rmse,
-            "eta_used": fit.eta_used,
-            "xi_used": fit.xi_used,
-            "alpha": fit.alpha,
-            "beta": fit.beta,
-        },
-        "per_run": [
-            {
-                "run_id": rc.run_id,
-                "lambda_calc": rc.lambda_calc,
-                "bell_linear_fit": rc.bell_linear_fit,
-            }
-            for rc in report.per_run
-        ],
+        "fit": vars(report.fit),
+        "per_run": [rc._asdict() for rc in report.per_run],
     }
     Path(path).write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
 
@@ -243,10 +216,7 @@ def read_report(
     path: str | Path,
 ) -> tuple[CalibrationReport, BellCertificate, float]:
     """Load a calibration report written by write_report."""
-    try:
-        raw = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise ReportFileError(f"{path}: not valid JSON ({exc})") from exc
+    raw = _read_json(path, ReportFileError)
     if not isinstance(raw, dict) or raw.get("schema") != REPORT_SCHEMA:
         raise ReportFileError(
             f"{path}: not a calibration report (expected schema {REPORT_SCHEMA!r})"
@@ -281,84 +251,46 @@ def _read_run_calibration(index: int, raw: dict) -> RunCalibration:
     return rc
 
 
-def _format_cell(value: object, decimals: int) -> str:
-    if value is None:
-        return "n/a"
-    if isinstance(value, float):
-        if math.isnan(value):
-            return "n/a"
-        return f"{value:.{decimals}f}"
-    return str(value)
-
-
-def _format_rows(
-    columns: Sequence[str],
-    rows: Sequence[dict[str, object]],
-    decimals: int,
-    overrides: dict[str, Callable[[object], str]] | None = None,
-) -> list[list[str]]:
-    overrides = overrides or {}
-    formatted = []
-    for row in rows:
-        cells = []
-        for col in columns:
-            value = row[col]
-            missing = value is None or (isinstance(value, float) and math.isnan(value))
-            if col in overrides and not missing:
-                cells.append(overrides[col](value))
-            else:
-                cells.append(_format_cell(value, decimals))
-        formatted.append(cells)
-    return formatted
-
-
-def render_table(
-    columns: Sequence[str],
-    rows: Sequence[dict[str, object]],
-    decimals: int,
-    overrides: dict[str, Callable[[object], str]] | None = None,
-) -> str:
-    grid = [list(columns)] + _format_rows(columns, rows, decimals, overrides)
-    widths = [max(len(line[i]) for line in grid) for i in range(len(columns))]
-    lines = ["  ".join(cell.rjust(w) for cell, w in zip(line, widths)) for line in grid]
-    return "\n".join(lines) + "\n"
-
-
-def render_csv(
-    columns: Sequence[str],
-    rows: Sequence[dict[str, object]],
-    decimals: int,
-    overrides: dict[str, Callable[[object], str]] | None = None,
-) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(columns)
-    writer.writerows(_format_rows(columns, rows, decimals, overrides))
-    return buf.getvalue()
-
-
-def render_json(columns: Sequence[str], rows: Sequence[dict[str, object]]) -> str:
-    def clean(value: object) -> object:
-        if isinstance(value, float) and math.isnan(value):
-            return None
-        return value
-
-    payload = [{col: clean(row[col]) for col in columns} for row in rows]
-    return json.dumps(payload, indent=2) + "\n"
-
-
 def _render(
     fmt: str,
     columns: Sequence[str],
-    rows: Sequence[dict[str, object]],
+    rows: Sequence[Sequence[object]],
     decimals: int,
     overrides: dict[str, Callable[[object], str]] | None = None,
 ) -> str:
-    if fmt == "table":
-        return render_table(columns, rows, decimals, overrides)
+    """Rows of cells in column order as a right-aligned table, CSV, or JSON
+    objects. None and NaN cells read n/a (null in JSON); overrides format a
+    column's other cells, and other floats get ``decimals`` places."""
+    if fmt == "json":
+        payload = [
+            {col: None if _missing(v) else v for col, v in zip(columns, row, strict=True)}
+            for row in rows
+        ]
+        return json.dumps(payload, indent=2) + "\n"
+    overrides = overrides or {}
+    grid = [list(columns)]
+    for row in rows:
+        cells = []
+        for col, value in zip(columns, row, strict=True):
+            if _missing(value):
+                cells.append("n/a")
+            elif col in overrides:
+                cells.append(overrides[col](value))
+            elif isinstance(value, float):
+                cells.append(f"{value:.{decimals}f}")
+            else:
+                cells.append(str(value))
+        grid.append(cells)
     if fmt == "csv":
-        return render_csv(columns, rows, decimals, overrides)
-    return render_json(columns, rows)
+        buf = io.StringIO()
+        csv.writer(buf, lineterminator="\n").writerows(grid)
+        return buf.getvalue()
+    widths = [max(len(cell) for cell in column) for column in zip(*grid)]
+    return "".join("  ".join(c.rjust(w) for c, w in zip(line, widths)) + "\n" for line in grid)
+
+
+def _missing(value: object) -> bool:
+    return value is None or (isinstance(value, float) and math.isnan(value))
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -408,38 +340,18 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
         tol=cfg.lambda_tol,
     )
 
-    out_path = Path(args.out if args.out is not None else "calibration_report.json")
+    out_path = Path(args.out)
     write_report(out_path, report, cfg.certificate, cfg.pulse_freq_hz)
     print(f"wrote {out_path}", file=sys.stderr)
 
     by_id = {run.run_id: run for run in runs}
-    columns = [
-        "run_id",
-        "doubles_observed",
-        "singles_observed",
-        "duration_s",
-        "bell_observed",
-        "lambda_calc",
-        "bell_linear_fit",
-    ]
-    rows: list[dict[str, object]] = []
-    for rc in report.per_run:
-        run = by_id[rc.run_id]
-        rows.append(
-            {
-                "run_id": rc.run_id,
-                "doubles_observed": run.doubles_observed,
-                "singles_observed": run.singles_observed,
-                "duration_s": run.duration_s,
-                "bell_observed": run.bell_observed,
-                "lambda_calc": rc.lambda_calc,
-                "bell_linear_fit": rc.bell_linear_fit,
-            }
-        )
+    merged = [{**vars(by_id[rc.run_id]), **rc._asdict()} for rc in report.per_run]
+    columns = list(merged[0])
+    rows = [list(row.values()) for row in merged]
     overrides = {"duration_s": lambda v: f"{v:g}"}
     csv_path = out_path.with_suffix(".csv")
     csv_path.write_text(
-        render_csv(columns, rows, cfg.decimals, overrides), encoding="utf-8"
+        _render("csv", columns, rows, cfg.decimals, overrides), encoding="utf-8"
     )
     print(f"wrote {csv_path}", file=sys.stderr)
 
@@ -477,24 +389,24 @@ def cmd_predict(args: argparse.Namespace) -> int:
         for rate in rates:
             if rate < 0.0:
                 raise ValueError(f"--rates: rate must be >= 0, got {rate}")
+        # the report's frequency, which the events/s column uses too
         lambdas = [
-            solve_lambda_for_rate(rate, eta, cfg.pulse_freq_hz, cfg.lambda_tol)
+            solve_lambda_for_rate(rate, eta, pulse_freq_hz, cfg.lambda_tol)
             for rate in rates
         ]
 
-    columns = ["lambda", "visibility", "bell", "events_per_second"]
-    rows: list[dict[str, object]] = []
+    rows = []
     for lam in lambdas:
         params = SourceParams(eta, lam, pulse_freq_hz)
         rows.append(
-            {
-                "lambda": lam,
-                "visibility": visibility(params),
-                "bell": predict_bell(report.fit, params, certificate),
-                "events_per_second": events_per_second(params),
-            }
+            (
+                lam,
+                visibility(params),
+                predict_bell(report.fit, params, certificate),
+                events_per_second(params),
+            )
         )
-    _emit(_render(args.format, columns, rows, cfg.decimals), args.out)
+    _emit(_render(args.format, FORWARD_COLUMNS, rows, cfg.decimals), args.out)
     return 0
 
 
@@ -504,9 +416,8 @@ def cmd_extrapolate(args: argparse.Namespace) -> int:
     eta = report.fit.eta_used
     targets = _parse_float_list(args.targets, "--targets")
 
-    columns = ["bell_target", "lambda", "events_per_second", "note"]
-    rows: list[dict[str, object]] = []
-    infeasible = 0
+    columns = ("bell_target", "lambda", "events_per_second", "note")
+    rows = []
     for target in targets:
         try:
             lam = solve_lambda_for_bell(
@@ -518,25 +429,11 @@ def cmd_extrapolate(args: argparse.Namespace) -> int:
                 allow_below_classical=args.allow_below_classical,
             )
         except (InfeasibleTargetError, BracketError) as exc:
-            infeasible += 1
-            rows.append(
-                {
-                    "bell_target": target,
-                    "lambda": None,
-                    "events_per_second": None,
-                    "note": f"infeasible: {exc}",
-                }
-            )
-            continue
-        params = SourceParams(eta, lam, pulse_freq_hz)
-        rows.append(
-            {
-                "bell_target": target,
-                "lambda": lam,
-                "events_per_second": events_per_second(params),
-                "note": "",
-            }
-        )
+            rows.append((target, None, None, f"infeasible: {exc}"))
+        else:
+            params = SourceParams(eta, lam, pulse_freq_hz)
+            rows.append((target, lam, events_per_second(params), ""))
+    infeasible = sum(lam is None for _, lam, _, _ in rows)
     if infeasible:
         print(f"warning: {infeasible} infeasible target(s)", file=sys.stderr)
     _emit(_render(args.format, columns, rows, cfg.decimals), args.out)
@@ -567,17 +464,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         cert=certificate,
         pulse_freq_hz=pulse_freq_hz,
     )
-    columns = ["lambda", "visibility", "bell", "events_per_second"]
-    rows: list[dict[str, object]] = [
-        {
-            "lambda": p.lambda_mean,
-            "visibility": p.visibility,
-            "bell": p.bell_value,
-            "events_per_second": p.events_per_second,
-        }
-        for p in points
-    ]
-    _emit(_render(args.format, columns, rows, cfg.decimals), args.out)
+    # a PredictionPoint's fields are the forward columns, in order
+    _emit(_render(args.format, FORWARD_COLUMNS, points, cfg.decimals), args.out)
     return 0
 
 
@@ -601,12 +489,12 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     tally, estimate = simulate_tally_and_chsh(params, args.visibility, sim_cfg)
     n = float(sim_cfg.n_pulses)
 
-    def count_row(name: str, observed: int, kind: ClickKind) -> dict[str, object]:
+    def count_row(name: str, observed: int, kind: ClickKind) -> tuple:
         rate = expected_rate(params, kind)
         expected = n * rate
         spread = math.sqrt(n * rate * (1.0 - rate))
         z = (observed - expected) / spread if spread > 0.0 else math.nan
-        return {"quantity": name, "observed": float(observed), "expected": expected, "z": z}
+        return name, float(observed), expected, z
 
     rows = [
         count_row("singles", tally.singles, ClickKind.SINGLE),
@@ -625,27 +513,18 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     else:
         v_emp, v_z, vis = math.nan, math.nan, math.nan
         bell_expected = math.nan
-    rows.append({"quantity": "visibility", "observed": v_emp, "expected": vis, "z": v_z})
+    rows.append(("visibility", v_emp, vis, v_z))
     bell_z = (
         (estimate.bell_value - bell_expected) / estimate.std_error
         if estimate.std_error > 0.0
         else math.nan
     )
-    rows.append(
-        {
-            "quantity": "chsh",
-            "observed": estimate.bell_value,
-            "expected": bell_expected,
-            "z": bell_z,
-        }
-    )
+    rows.append(("chsh", estimate.bell_value, bell_expected, bell_z))
 
-    columns = ["quantity", "observed", "expected", "z"]
+    columns = ("quantity", "observed", "expected", "z")
     overrides = {"z": lambda v: f"{v:+.2f}"}
     _emit(_render(args.format, columns, rows, cfg.decimals, overrides), args.out)
-    worst = max(
-        (abs(row["z"]) for row in rows if not math.isnan(row["z"])), default=0.0
-    )
+    worst = max((abs(z) for *_, z in rows if not math.isnan(z)), default=0.0)
     if worst > 5.0:
         print(
             f"error: simulation disagrees with the model (max |z| = {worst:.2f})",
@@ -677,16 +556,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_cal.add_argument("--runs", help="run CSV (default: bundled reference dataset)")
     p_cal.add_argument(
         "--out",
+        default="calibration_report.json",
         help="calibration report JSON path (default: calibration_report.json); "
         "a CSV with the per-run table is written next to it",
     )
-    p_cal.add_argument("--config", help="JSON config file")
-    p_cal.add_argument(
-        "--format",
-        choices=("table", "csv", "json"),
-        default="table",
-        help="stdout format (default: table)",
-    )
+    add_common(p_cal, with_out=False)
     p_cal.set_defaults(func=cmd_calibrate)
 
     p_pred = sub.add_parser("predict", help="forward-model Bell value and event rate")

@@ -18,6 +18,7 @@ from .calibration import (
     ModelAssumptionError,
     ModelError,
     PhysicalFit,
+    _lambda_for_doubles,
     _newton_lambda,
     chsh_certificate,
 )
@@ -140,14 +141,8 @@ def solve_lambda_for_rate(
         )
 
     _check_solver_source(eta, pulse_freq_hz)
-
-    def excess(lam: float) -> tuple[float, float]:
-        double, _ = _double_entangled(eta, lam)
-        double_slope, _ = _double_entangled_slopes(eta, lam)
-        return pulse_freq_hz * double - rate, pulse_freq_hz * double_slope
-
-    return _newton_lambda(
-        excess, rate / pulse_freq_hz / eta / eta, tol, f"events/s never reach {rate}"
+    return _lambda_for_doubles(
+        rate, pulse_freq_hz, eta, tol, f"events/s never reach {rate}"
     )
 
 

@@ -96,12 +96,17 @@ class TestBellCertificate:
             BellCertificate("bad", tsirelson_bound=0.0, classical_bound=0.0)
 
 
-    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    # a report or config is JSON, so a bound can also be a string or a bool
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, "3", True])
     def test_non_finite_bounds_rejected(self, bad):
         with pytest.raises(ValueError, match="tsirelson_bound"):
             BellCertificate("bad", tsirelson_bound=bad, classical_bound=2.0)
         with pytest.raises(ValueError, match="classical_bound"):
             BellCertificate("bad", tsirelson_bound=2.5, classical_bound=bad)
+
+    def test_numpy_bounds_accepted(self):
+        cert = BellCertificate("x", np.float64(2.5), np.float64(2.0))
+        assert cert.tsirelson_bound == 2.5
 
 
 class TestEstimateEta:
@@ -261,12 +266,16 @@ class TestFitLinear:
 
 
 class TestPhysicalFit:
-    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, True, "0.5", None])
     def test_non_finite_fields_rejected(self, bad):
         fit = to_physical(REFERENCE_SLOPE, REFERENCE_INTERCEPT, REFERENCE_ETA, chsh_certificate())
         for name in vars(fit):
             with pytest.raises(ValueError, match=name):
                 PhysicalFit(**{**vars(fit), name: bad})
+
+    def test_numpy_fields_accepted(self):
+        fit = to_physical(REFERENCE_SLOPE, REFERENCE_INTERCEPT, REFERENCE_ETA, chsh_certificate())
+        assert PhysicalFit(**{k: np.float64(v) for k, v in vars(fit).items()}) == fit
 
 
 class TestToPhysical:

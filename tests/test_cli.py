@@ -154,6 +154,21 @@ class TestPredict:
         params = SourceParams(report.fit.eta_used, 0.0849, freq)
         assert row["bell"] == predict_bell(report.fit, params, cert)
 
+    def test_rates_solve_at_the_report_frequency(self, tmp_path):
+        # the solve used the config's frequency (default 8e7) and the
+        # events/s column the report's, so 1e5 came back as 1.25e5
+        (tmp_path / "cfg.json").write_text('{"pulse_freq_hz": 1e8}')
+        calibrated = run_cli("calibrate", "--config", "cfg.json", cwd=tmp_path)
+        assert calibrated.returncode == 0, calibrated.stderr
+        result = run_cli(
+            "predict", "--report", "calibration_report.json",
+            "--rates", "100000", "--format", "json", cwd=tmp_path,
+        )
+        assert result.returncode == 0, result.stderr
+        row = json.loads(result.stdout)[0]
+        assert row["events_per_second"] == pytest.approx(100000, rel=1e-9)
+        assert row["lambda"] == pytest.approx(0.0736, abs=1e-4)
+
     def test_rate_target_inverts_to_power(self, report_dir):
         result = run_cli(
             "predict", "--report", "calibration_report.json",
@@ -411,6 +426,9 @@ class TestConfig:
             ("pulse_freq_hz", 0),
             ("lambda_tol", True),
             ("bell_tol", None),
+            ("certificate", {"name": 5, "tsirelson_bound": 2.8, "classical_bound": 2.0}),
+            ("certificate", {"name": "X", "tsirelson_bound": "3", "classical_bound": 2.0}),
+            ("certificate", {"name": "X", "tsirelson_bound": 2.8, "classical_bound": True}),
         ],
     )
     def test_bad_value_names_the_file_and_key(self, report_dir, tmp_path, key, value):
@@ -468,6 +486,10 @@ class TestReportFile:
             ("certificate", "tsirelson_bound", float("inf")),
             ("certificate", "trace_zero", "no"),
             ("certificate", "trace_zero", 1),
+            ("certificate", "name", 5),
+            ("certificate", "tsirelson_bound", "3"),
+            ("fit", "rmse", True),
+            ("fit", "alpha", "0.5"),
         ],
     )
     def test_non_finite_value_names_the_file_and_key(
