@@ -227,15 +227,27 @@ def read_report(
         per_run = tuple(
             _read_run_calibration(i, rc) for i, rc in enumerate(raw["per_run"])
         )
+        for key in ("eta_hat", "pulse_freq_hz"):
+            if not _is_real(raw[key]):
+                raise ValueError(f"{key} must be a number, got {raw[key]!r}")
+            if not math.isfinite(raw[key]):
+                raise ValueError(f"{key} must be finite, got {raw[key]}")
         report = CalibrationReport(
             eta_hat=float(raw["eta_hat"]), per_run=per_run, fit=fit
         )
         pulse_freq_hz = float(raw["pulse_freq_hz"])
-        for key, value in (("eta_hat", report.eta_hat), ("pulse_freq_hz", pulse_freq_hz)):
-            if not math.isfinite(value):
-                raise ValueError(f"{key} must be finite, got {value}")
     except (KeyError, TypeError, ValueError) as exc:
         raise ReportFileError(f"{path}: malformed report ({exc})") from exc
+    return report, certificate, pulse_freq_hz
+
+
+def _load_report(path: str | Path) -> tuple[CalibrationReport, BellCertificate, float]:
+    """read_report, plus the range the subcommands' solves need."""
+    report, certificate, pulse_freq_hz = read_report(path)
+    if not pulse_freq_hz > 0.0:
+        raise ReportFileError(
+            f"{path}: malformed report (pulse_freq_hz must be > 0, got {pulse_freq_hz})"
+        )
     return report, certificate, pulse_freq_hz
 
 
@@ -377,7 +389,7 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
 
 def cmd_predict(args: argparse.Namespace) -> int:
     cfg = _load_config(args)
-    report, certificate, pulse_freq_hz = read_report(args.report)
+    report, certificate, pulse_freq_hz = _load_report(args.report)
     eta = report.fit.eta_used
     if args.lambdas is not None:
         lambdas = _parse_float_list(args.lambdas, "--lambdas")
@@ -412,7 +424,7 @@ def cmd_predict(args: argparse.Namespace) -> int:
 
 def cmd_extrapolate(args: argparse.Namespace) -> int:
     cfg = _load_config(args)
-    report, certificate, pulse_freq_hz = read_report(args.report)
+    report, certificate, pulse_freq_hz = _load_report(args.report)
     eta = report.fit.eta_used
     targets = _parse_float_list(args.targets, "--targets")
 
@@ -442,7 +454,7 @@ def cmd_extrapolate(args: argparse.Namespace) -> int:
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     cfg = _load_config(args)
-    report, certificate, pulse_freq_hz = read_report(args.report)
+    report, certificate, pulse_freq_hz = _load_report(args.report)
     if args.steps < 2:
         raise ValueError(f"--steps must be >= 2, got {args.steps}")
     for flag, value in (("--lambda-min", args.lambda_min), ("--lambda-max", args.lambda_max)):

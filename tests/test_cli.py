@@ -490,6 +490,10 @@ class TestReportFile:
             ("certificate", "tsirelson_bound", "3"),
             ("fit", "rmse", True),
             ("fit", "alpha", "0.5"),
+            (None, "eta_hat", "0.1"),
+            (None, "pulse_freq_hz", 0),
+            (None, "pulse_freq_hz", -1),
+            (None, "pulse_freq_hz", "8e7"),
         ],
     )
     def test_non_finite_value_names_the_file_and_key(
