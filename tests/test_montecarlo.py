@@ -1,4 +1,8 @@
+import inspect
 import math
+import sys
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -17,7 +21,13 @@ from bellcal import (
     simulate_tally_and_chsh,
     visibility,
 )
-from bellcal.montecarlo import _E_IDEAL, _block_rng, _poisson_cdf_table
+from bellcal import clicks, montecarlo
+from bellcal.montecarlo import (
+    _E_IDEAL,
+    _MIN_PARALLEL_BLOCK,
+    _block_rng,
+    _poisson_cdf_table,
+)
 
 
 def rate_z(params, kind, observed, n):
@@ -54,6 +64,12 @@ class TestSimConfig:
             ("n_pulses", 1000.0),
             ("block_size", 0.5),
             ("block_size", math.inf),
+            # bool is an int subclass: seed True used to run seed 1's
+            # stream, n_pulses True to fail inside numpy
+            ("seed", True),
+            ("seed", np.True_),
+            ("n_pulses", True),
+            ("block_size", False),
         ],
     )
     def test_non_integer_fields_rejected(self, field, bad):
@@ -434,3 +450,96 @@ def test_block_loop_matches_reference(eta, lam, seed, block, pulses, vis):
     ref_tally, ref_estimate = reference_run_blocks(params, cfg, vis)
     assert tally == ref_tally
     assert same_estimate(estimate, ref_estimate)
+
+
+CUT = _MIN_PARALLEL_BLOCK
+THREAD_CONFIGS = (
+    SimConfig(n_pulses=1000, seed=5, block_size=CUT),  # one block
+    SimConfig(n_pulses=2 * CUT + 5, seed=6, block_size=CUT),  # 3 blocks, short last
+    SimConfig(n_pulses=8 * CUT, seed=2**64 - 1, block_size=CUT),
+    SimConfig(n_pulses=5 * (CUT - 1) - 7, seed=8, block_size=CUT - 1),  # serial
+)
+
+
+@pytest.mark.parametrize("eta, lam", [(0.05, 0.01), (0.1134, 0.0849), (0.5, 2.0)])
+@pytest.mark.parametrize("cfg", THREAD_CONFIGS)
+def test_results_do_not_depend_on_the_thread_count(monkeypatch, eta, lam, cfg):
+    params = SourceParams(eta, lam)
+    results = []
+    switch = sys.getswitchinterval()
+    try:
+        # frequent switches between more threads than cores shake out races
+        sys.setswitchinterval(1e-5)
+        for n in (1, 2, 3, 7):
+            monkeypatch.setattr(montecarlo, "_cpus", lambda n=n: n)
+            results.append(simulate_tally_and_chsh(params, 0.9, cfg))
+    finally:
+        sys.setswitchinterval(switch)
+    (tally, estimate), *others = results
+    for other_tally, other_estimate in others:
+        assert other_tally == tally
+        assert same_estimate(other_estimate, estimate)
+
+
+class Boom(Exception):
+    pass
+
+
+@pytest.mark.parametrize("failing", [1, 3])  # a worker's stripe, the caller's
+def test_block_failure_stops_and_joins_every_thread(monkeypatch, failing):
+    monkeypatch.setattr(montecarlo, "_cpus", lambda: 3)
+    started = []
+    boom = threading.Event()
+
+    def block_rng(seed, block):
+        started.append(block)
+        if block == failing:
+            boom.set()
+            raise Boom(block)
+        if block > failing:
+            # later blocks go on only once the failing thread has had ample
+            # time to flag the failure
+            assert boom.wait(timeout=30)
+            time.sleep(0.05)
+        return _block_rng(seed, block)
+
+    monkeypatch.setattr(montecarlo, "_block_rng", block_rng)
+    before = threading.active_count()
+    cfg = SimConfig(n_pulses=30 * CUT, seed=11, block_size=CUT)
+    with pytest.raises(Boom):
+        simulate_pulses(SourceParams(0.1134, 0.0849), cfg)
+    assert threading.active_count() == before
+    # the blocks before the failing one, itself, and at most the one block
+    # each other thread was in when it failed
+    assert len(started) <= failing + 1 + 2
+
+
+def test_public_functions_run_on_the_calling_thread(monkeypatch):
+    # perfbench's tracer wraps every public function and keeps one span
+    # stack, so worker threads may call only private ones
+    monkeypatch.setattr(montecarlo, "_cpus", lambda: 2)
+    callers = []
+    for module in (montecarlo, clicks):
+        for name, fn in list(vars(module).items()):
+            if name.startswith("_") or not inspect.isfunction(fn):
+                continue
+            if not fn.__module__.startswith("bellcal."):
+                continue
+
+            def traced(*args, _fn=fn, **kwargs):
+                callers.append(threading.get_ident())
+                return _fn(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, traced)
+    block_threads = set()
+
+    def block_rng(seed, block):
+        block_threads.add(threading.get_ident())
+        return _block_rng(seed, block)
+
+    monkeypatch.setattr(montecarlo, "_block_rng", block_rng)
+    cfg = SimConfig(n_pulses=4 * CUT + 1, seed=3, block_size=CUT)
+    montecarlo.simulate_tally_and_chsh(SourceParams(0.5, 2.0), 0.9, cfg)
+    montecarlo.simulate_pulses(SourceParams(0.5, 2.0), cfg)
+    assert len(block_threads) == 2
+    assert callers and set(callers) == {threading.get_ident()}
