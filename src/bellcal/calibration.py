@@ -11,10 +11,9 @@ values, and convert the line (a, b) into the physical degradation parameters
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, NamedTuple, Sequence
 
-from .clicks import DEFAULT_PULSE_FREQ_HZ, _check_solver_source, xi
+from .clicks import DEFAULT_PULSE_FREQ_HZ, _check_solver_source, _Record, _set_field, xi
 from .clicks import _double_entangled, _double_entangled_slopes
 
 if TYPE_CHECKING:
@@ -49,21 +48,35 @@ def _is_real(value: object) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
-@dataclass(frozen=True)
-class ExperimentRun:
+class ExperimentRun(_Record):
     """One measurement campaign row.
 
     bell_observed may be None for prediction-only inputs; calibration
     requires it on every run.
     """
 
+    __match_args__ = (
+        "run_id", "doubles_observed", "singles_observed", "duration_s", "bell_observed"
+    )
     run_id: int
     doubles_observed: int
     singles_observed: int
     duration_s: float
-    bell_observed: float | None = None
+    bell_observed: float | None
 
-    def __post_init__(self) -> None:
+    def __init__(
+        self,
+        run_id: int,
+        doubles_observed: int,
+        singles_observed: int,
+        duration_s: float,
+        bell_observed: float | None = None,
+    ) -> None:
+        _set_field(self, "run_id", run_id)
+        _set_field(self, "doubles_observed", doubles_observed)
+        _set_field(self, "singles_observed", singles_observed)
+        _set_field(self, "duration_s", duration_s)
+        _set_field(self, "bell_observed", bell_observed)
         for name in ("doubles_observed", "singles_observed"):
             value = getattr(self, name)
             # finite first: int() raises OverflowError on inf, a bare
@@ -85,8 +98,7 @@ class ExperimentRun:
             )
 
 
-@dataclass(frozen=True)
-class BellCertificate:
+class BellCertificate(_Record):
     """A correlator-based Bell expression and its bounds.
 
     trace_zero asserts that the Bell operator has zero trace, which is what
@@ -94,12 +106,23 @@ class BellCertificate:
     through the visibility. The linear noise model is meaningless without it.
     """
 
+    __match_args__ = ("name", "tsirelson_bound", "classical_bound", "trace_zero")
     name: str
     tsirelson_bound: float
     classical_bound: float
-    trace_zero: bool = True
+    trace_zero: bool
 
-    def __post_init__(self) -> None:
+    def __init__(
+        self,
+        name: str,
+        tsirelson_bound: float,
+        classical_bound: float,
+        trace_zero: bool = True,
+    ) -> None:
+        _set_field(self, "name", name)
+        _set_field(self, "tsirelson_bound", tsirelson_bound)
+        _set_field(self, "classical_bound", classical_bound)
+        _set_field(self, "trace_zero", trace_zero)
         if not isinstance(self.name, str):
             raise ValueError(f"name must be a string, got {self.name!r}")
         for key in ("tsirelson_bound", "classical_bound"):
@@ -132,8 +155,7 @@ def chsh_certificate() -> BellCertificate:
     return _CHSH
 
 
-@dataclass(frozen=True)
-class PhysicalFit:
+class PhysicalFit(_Record):
     """A fitted line (a, b) and its physical reading (alpha, beta).
 
     alpha scales the certificate's quantum bound for state-preparation
@@ -142,6 +164,9 @@ class PhysicalFit:
     recoverable: a = -alpha*T*xi/2 and b = alpha*T - beta.
     """
 
+    __match_args__ = (
+        "slope_a", "intercept_b", "rmse", "eta_used", "xi_used", "alpha", "beta"
+    )
     slope_a: float
     intercept_b: float
     rmse: float
@@ -150,7 +175,23 @@ class PhysicalFit:
     alpha: float
     beta: float
 
-    def __post_init__(self) -> None:
+    def __init__(
+        self,
+        slope_a: float,
+        intercept_b: float,
+        rmse: float,
+        eta_used: float,
+        xi_used: float,
+        alpha: float,
+        beta: float,
+    ) -> None:
+        _set_field(self, "slope_a", slope_a)
+        _set_field(self, "intercept_b", intercept_b)
+        _set_field(self, "rmse", rmse)
+        _set_field(self, "eta_used", eta_used)
+        _set_field(self, "xi_used", xi_used)
+        _set_field(self, "alpha", alpha)
+        _set_field(self, "beta", beta)
         for name, value in vars(self).items():
             if not _is_real(value):
                 raise ValueError(f"{name} must be a number, got {value!r}")
@@ -168,13 +209,20 @@ class RunCalibration(NamedTuple):
     bell_linear_fit: float
 
 
-@dataclass(frozen=True)
-class CalibrationReport:
+class CalibrationReport(_Record):
     """Full calibration result: eta, per-run values (sorted by run_id), fit."""
 
+    __match_args__ = ("eta_hat", "per_run", "fit")
     eta_hat: float
     per_run: tuple[RunCalibration, ...]
     fit: PhysicalFit
+
+    def __init__(
+        self, eta_hat: float, per_run: tuple[RunCalibration, ...], fit: PhysicalFit
+    ) -> None:
+        _set_field(self, "eta_hat", eta_hat)
+        _set_field(self, "per_run", per_run)
+        _set_field(self, "fit", fit)
 
 
 def estimate_eta(runs: Sequence[ExperimentRun]) -> float:

@@ -20,7 +20,6 @@ import io
 import json
 import math
 import sys
-from dataclasses import dataclass, field, fields
 from importlib.resources import files as _resource_files
 from pathlib import Path
 from typing import Callable, Sequence
@@ -41,6 +40,8 @@ from .clicks import (
     ClickKind,
     DEFAULT_PULSE_FREQ_HZ,
     SourceParams,
+    _Record,
+    _set_field,
     expected_rate,
 )
 from .prediction import (
@@ -61,6 +62,10 @@ FORWARD_COLUMNS = ("lambda", "visibility", "bell", "events_per_second")
 
 BUNDLED_RUNS = "paper_table2.csv"
 
+# sweep's grid and table are held in memory; 10^5 points take well under a
+# second, 10^8 exhaust it
+MAX_SWEEP_STEPS = 100_000
+
 
 class RunFileError(ValueError):
     """A run file failed to parse or validate; message carries the location."""
@@ -74,17 +79,29 @@ class ReportFileError(ValueError):
     """A calibration report failed to parse or has the wrong schema."""
 
 
-@dataclass(frozen=True)
-class ToolConfig:
+class ToolConfig(_Record):
     """Tool-level knobs; everything has a working default."""
 
-    pulse_freq_hz: float = DEFAULT_PULSE_FREQ_HZ
-    lambda_tol: float = 1e-10
-    bell_tol: float = 1e-8
-    decimals: int = 4
-    certificate: BellCertificate = field(default_factory=chsh_certificate)
+    __match_args__ = ("pulse_freq_hz", "lambda_tol", "bell_tol", "decimals", "certificate")
+    pulse_freq_hz: float
+    lambda_tol: float
+    bell_tol: float
+    decimals: int
+    certificate: BellCertificate
 
-    def __post_init__(self) -> None:
+    def __init__(
+        self,
+        pulse_freq_hz: float = DEFAULT_PULSE_FREQ_HZ,
+        lambda_tol: float = 1e-10,
+        bell_tol: float = 1e-8,
+        decimals: int = 4,
+        certificate: BellCertificate = chsh_certificate(),
+    ) -> None:
+        _set_field(self, "pulse_freq_hz", pulse_freq_hz)
+        _set_field(self, "lambda_tol", lambda_tol)
+        _set_field(self, "bell_tol", bell_tol)
+        _set_field(self, "decimals", decimals)
+        _set_field(self, "certificate", certificate)
         for name in ("pulse_freq_hz", "lambda_tol", "bell_tol"):
             value = getattr(self, name)
             if not (_is_real(value) and 0.0 < value < math.inf):
@@ -102,7 +119,7 @@ def _read_json(path: str | Path, error: type[ValueError]) -> object:
 
 
 def _reject_unknown_keys(path: str | Path, what: str, raw: dict, record: type) -> None:
-    unknown = sorted(set(raw) - {f.name for f in fields(record)})
+    unknown = sorted(set(raw) - set(record.__match_args__))
     if unknown:
         raise ConfigFileError(f"{path}: unknown {what} keys: {', '.join(unknown)}")
 
@@ -455,8 +472,8 @@ def cmd_extrapolate(args: argparse.Namespace) -> int:
 def cmd_sweep(args: argparse.Namespace) -> int:
     cfg = _load_config(args)
     report, certificate, pulse_freq_hz = _load_report(args.report)
-    if args.steps < 2:
-        raise ValueError(f"--steps must be >= 2, got {args.steps}")
+    if not 2 <= args.steps <= MAX_SWEEP_STEPS:
+        raise ValueError(f"--steps must be in [2, {MAX_SWEEP_STEPS}], got {args.steps}")
     for flag, value in (("--lambda-min", args.lambda_min), ("--lambda-max", args.lambda_max)):
         if not math.isfinite(value):
             raise ValueError(f"{flag} must be finite, got {value}")
@@ -483,13 +500,15 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 def cmd_simulate(args: argparse.Namespace) -> int:
     # the Monte Carlo is the only subcommand that needs numpy
-    from .montecarlo import SimConfig, simulate_tally_and_chsh
+    from .montecarlo import MAX_LAMBDA_MEAN, SimConfig, simulate_tally_and_chsh
 
     cfg = _load_config(args)
     if not 0.0 <= args.eta <= 1.0:
         raise ValueError(f"--eta must be in [0, 1], got {args.eta}")
-    if not 0.0 <= args.lambda_mean < math.inf:
-        raise ValueError(f"--lambda must be finite and >= 0, got {args.lambda_mean}")
+    if not 0.0 <= args.lambda_mean <= MAX_LAMBDA_MEAN:
+        raise ValueError(
+            f"--lambda must be in [0, {MAX_LAMBDA_MEAN:g}], got {args.lambda_mean}"
+        )
     if args.pulses <= 0:
         raise ValueError(f"--pulses must be > 0, got {args.pulses}")
     if not 0 <= args.seed < 2**64:
@@ -598,7 +617,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--report", required=True, help="calibration report JSON")
     p_sweep.add_argument("--lambda-min", type=float, default=0.0)
     p_sweep.add_argument("--lambda-max", type=float, default=0.75)
-    p_sweep.add_argument("--steps", type=int, default=100)
+    p_sweep.add_argument(
+        "--steps",
+        type=int,
+        default=100,
+        help=f"grid points, 2 to {MAX_SWEEP_STEPS} (default: 100)",
+    )
     add_common(p_sweep)
     p_sweep.set_defaults(func=cmd_sweep)
 

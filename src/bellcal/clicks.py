@@ -20,9 +20,42 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
 
 DEFAULT_PULSE_FREQ_HZ = 8.0e7
+
+# the records' __init__ sets fields past their own __setattr__
+_set_field = object.__setattr__
+
+
+class _Record:
+    """Base of the package's frozen records.
+
+    A record names its fields, in order, in ``__match_args__`` and sets each
+    one once in ``__init__`` through ``_set_field``, so ``vars()`` lists them
+    in that order. repr, == (same class only) and hash (of the tuple of
+    field values) work over them; assignment and deletion raise
+    AttributeError. Copies and pickles restore ``__dict__`` directly.
+    """
+
+    __match_args__: tuple[str, ...]
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={value!r}" for name, value in vars(self).items())
+        return f"{type(self).__qualname__}({fields})"
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return vars(self) == vars(other)
+
+    def __hash__(self) -> int:
+        return hash(tuple(vars(self).values()))
 
 
 class ClickKind(enum.Enum):
@@ -33,8 +66,7 @@ class ClickKind(enum.Enum):
     ENTANGLED = "entangled"
 
 
-@dataclass(frozen=True)
-class SourceParams:
+class SourceParams(_Record):
     """Source and detection parameters.
 
     Args:
@@ -43,11 +75,17 @@ class SourceParams:
         pulse_freq_hz: laser repetition rate in Hz, finite, > 0.
     """
 
+    __match_args__ = ("eta", "lambda_mean", "pulse_freq_hz")
     eta: float
     lambda_mean: float
-    pulse_freq_hz: float = DEFAULT_PULSE_FREQ_HZ
+    pulse_freq_hz: float
 
-    def __post_init__(self) -> None:
+    def __init__(
+        self, eta: float, lambda_mean: float, pulse_freq_hz: float = DEFAULT_PULSE_FREQ_HZ
+    ) -> None:
+        _set_field(self, "eta", eta)
+        _set_field(self, "lambda_mean", lambda_mean)
+        _set_field(self, "pulse_freq_hz", pulse_freq_hz)
         _check_eta(self.eta)
         if not 0.0 <= self.lambda_mean < math.inf:
             raise ValueError(

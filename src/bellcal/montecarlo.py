@@ -41,16 +41,21 @@ import math
 import operator
 import os
 import threading
-from dataclasses import dataclass
 from itertools import takewhile
 
 import numpy as np
 
-from .clicks import SourceParams, poisson_pmf
+from .clicks import SourceParams, _Record, _set_field, poisson_pmf
+
+# Largest mean pairs per pulse the Monte Carlo accepts. A pulse draws about
+# 4 * lambda_mean uniforms and the Poisson table has O(lambda_mean) entries,
+# so without a ceiling a large lambda_mean runs for minutes and fills memory;
+# at the ceiling 1000 pulses take a fraction of a second. The model's regime
+# is lambda_mean of order 1.
+MAX_LAMBDA_MEAN = 100.0
 
 
-@dataclass(frozen=True)
-class SimConfig:
+class SimConfig(_Record):
     """Size and seeding of a simulation; results are a pure function of it.
 
     block_size is the pulses per Philox stream. It also sets the grain of
@@ -58,11 +63,15 @@ class SimConfig:
     thread holds: a few arrays of block_size uniforms.
     """
 
+    __match_args__ = ("n_pulses", "seed", "block_size")
     n_pulses: int
     seed: int
-    block_size: int = 1 << 16
+    block_size: int
 
-    def __post_init__(self) -> None:
+    def __init__(self, n_pulses: int, seed: int, block_size: int = 1 << 16) -> None:
+        _set_field(self, "n_pulses", n_pulses)
+        _set_field(self, "seed", seed)
+        _set_field(self, "block_size", block_size)
         for name in ("n_pulses", "seed", "block_size"):
             value = getattr(self, name)
             try:
@@ -82,16 +91,22 @@ class SimConfig:
             raise ValueError(f"block_size must be > 0, got {self.block_size}")
 
 
-@dataclass(frozen=True)
-class PulseTally:
+class PulseTally(_Record):
     """Click counts over a simulated pulse train."""
 
+    __match_args__ = ("pulses", "singles", "doubles", "entangled_coincidences")
     pulses: int
     singles: int
     doubles: int
     entangled_coincidences: int
 
-    def __post_init__(self) -> None:
+    def __init__(
+        self, pulses: int, singles: int, doubles: int, entangled_coincidences: int
+    ) -> None:
+        _set_field(self, "pulses", pulses)
+        _set_field(self, "singles", singles)
+        _set_field(self, "doubles", doubles)
+        _set_field(self, "entangled_coincidences", entangled_coincidences)
         if min(self.pulses, self.singles, self.doubles, self.entangled_coincidences) < 0:
             raise ValueError("tally counts must be >= 0")
         if not self.entangled_coincidences <= self.doubles <= self.pulses:
@@ -103,14 +118,26 @@ class PulseTally:
             raise ValueError("singles and doubles are disjoint; counts exceed pulses")
 
 
-@dataclass(frozen=True)
-class ChshEstimate:
+class ChshEstimate(_Record):
     """Empirical CHSH value with per-setting correlators and standard error."""
 
+    __match_args__ = ("bell_value", "correlators", "setting_counts", "std_error")
     bell_value: float
     correlators: tuple[float, float, float, float]
     setting_counts: tuple[int, int, int, int]
     std_error: float
+
+    def __init__(
+        self,
+        bell_value: float,
+        correlators: tuple[float, float, float, float],
+        setting_counts: tuple[int, int, int, int],
+        std_error: float,
+    ) -> None:
+        _set_field(self, "bell_value", bell_value)
+        _set_field(self, "correlators", correlators)
+        _set_field(self, "setting_counts", setting_counts)
+        _set_field(self, "std_error", std_error)
 
 
 def _block_rng(seed: int, block: int) -> np.random.Generator:
@@ -274,6 +301,11 @@ def _run_blocks(
     state_visibility: float | None,
 ) -> tuple[PulseTally, ChshEstimate | None]:
     """All blocks, on as many threads as pay, merged in block order."""
+    if not params.lambda_mean <= MAX_LAMBDA_MEAN:
+        raise ValueError(
+            f"lambda_mean must be <= {MAX_LAMBDA_MEAN:g} for the Monte Carlo, "
+            f"got {params.lambda_mean}"
+        )
     want_chsh = state_visibility is not None
     cdf = _poisson_cdf_table(params.lambda_mean)
     n_blocks = (cfg.n_pulses + cfg.block_size - 1) // cfg.block_size
@@ -326,11 +358,12 @@ def _run_blocks(
 def simulate_pulses(params: SourceParams, cfg: SimConfig) -> PulseTally:
     """Draw cfg.n_pulses pulses and tally singles, doubles, and coincidences.
 
-    Per pulse: k pairs from Poisson(lambda_mean); each of the 2k photons is
-    detected with probability eta and lands on one of two detectors with
-    probability 1/2. A single is exactly one of the four detectors firing, a
-    double is at least one detector per side, an entangled coincidence is
-    exactly one detected photon per side with both from the same pair.
+    Per pulse: k pairs from Poisson(lambda_mean), which must not exceed
+    MAX_LAMBDA_MEAN (ValueError); each of the 2k photons is detected with
+    probability eta and lands on one of two detectors with probability 1/2.
+    A single is exactly one of the four detectors firing, a double is at
+    least one detector per side, an entangled coincidence is exactly one
+    detected photon per side with both from the same pair.
     """
     tally, _ = _run_blocks(params, cfg, None)
     return tally

@@ -110,6 +110,19 @@ def test_05_power_and_rate_extrapolation(reference_report):
     )
 
 
+# test_05's rate deviations are a tabulation artefact: every reference rate
+# is 1e6 over the model's microseconds per event truncated to a multiple of
+# 25 ns (0.8448 us -> 0.825 us -> 1,212,121 events/s at B = 2)
+def test_05_reference_rates_sit_on_a_25_ns_grid(reference_report):
+    fit = reference_report.fit
+    eta = fit.eta_used
+    for target, _, rate_ref in EXTRAPOLATION_REF:
+        lam = solve_lambda_for_bell(fit, target, eta)
+        us_per_event = 1e6 / events_per_second(SourceParams(eta, lam))
+        tabulated_us = math.floor(us_per_event / 0.025) * 0.025
+        assert round(1e6 / tabulated_us) == rate_ref, f"target {target}"
+
+
 def test_06_visibility_sensitivity_closed_form():
     rng = np.random.default_rng(6)
     for eta in rng.uniform(0.01, 1.0, size=100):

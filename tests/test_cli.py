@@ -296,6 +296,21 @@ class TestSweep:
         )
         assert result.returncode == 2
 
+    # 3e6 steps used to run out of memory rendering the table; the value
+    # tested is one past the cap, so a regression fails without filling memory
+    def test_steps_over_the_cap_rejected(self, report_dir):
+        result = run_cli(
+            "sweep", "--report", "calibration_report.json", "--steps", "100001",
+            cwd=report_dir, timeout=30,
+        )
+        assert result.returncode == 2
+        assert result.stderr.startswith("error: --steps must be in [2, 100000]")
+
+    def test_steps_cap_in_help(self, tmp_path):
+        result = run_cli("sweep", "--help", cwd=tmp_path)
+        assert result.returncode == 0
+        assert "2 to 100000" in result.stdout
+
     # --lambda-max inf used to reach the library, whose message named
     # neither flag; nan failed the ordering check with a generic message
     @pytest.mark.parametrize("flag", ["--lambda-min", "--lambda-max"])
@@ -360,6 +375,9 @@ class TestSimulate:
         [
             ("--lambda", "inf"),
             ("--lambda", "nan"),
+            # over the Monte Carlo's ceiling, past which a call can run for
+            # minutes; this one would take about a second
+            ("--lambda", "1000"),
             ("--pulses", "0"),
             ("--eta", "2"),
             ("--seed", "-1"),

@@ -1,4 +1,5 @@
-"""Import cost: numpy is loaded only when the Monte Carlo runs.
+"""Import cost: numpy is loaded only when the Monte Carlo runs, dataclasses
+never.
 
 Every subcommand but ``simulate`` starts from ``import bellcal.cli``, so a
 numpy import anywhere on that path costs each call most of its start-up time.
@@ -9,6 +10,8 @@ import subprocess
 import sys
 import textwrap
 from pathlib import Path
+
+import pytest
 
 import bellcal
 
@@ -63,6 +66,35 @@ def test_numpy_free_subcommands(tmp_path):
         tmp_path,
     )
     assert result.returncode == 0, result.stderr
+
+
+def test_no_dataclasses_on_any_path(tmp_path):
+    # the records are plain classes: dataclasses (and the inspect, ast, dis
+    # and tokenize it imports) would cost every CLI call its start-up time
+    result = run_child(
+        """
+        import sys
+        if "dataclasses" in sys.modules:
+            print("preloaded")
+            raise SystemExit
+        from bellcal.cli import main
+        report = "calibration_report.json"
+        for argv in (
+            ["calibrate", "--format", "json"],
+            ["predict", "--report", report, "--lambdas", "0.01,0.1"],
+            ["extrapolate", "--report", report, "--targets", "2.0,2.5"],
+            ["sweep", "--report", report, "--steps", "5"],
+        ):
+            assert main(argv) == 0, argv
+            assert "dataclasses" not in sys.modules, argv
+        import bellcal.montecarlo
+        assert "dataclasses" not in sys.modules, "import bellcal.montecarlo"
+        """,
+        tmp_path,
+    )
+    assert result.returncode == 0, result.stderr
+    if result.stdout.strip() == "preloaded":
+        pytest.skip("the interpreter loads dataclasses before bellcal is imported")
 
 
 def test_simulate_still_runs(tmp_path):

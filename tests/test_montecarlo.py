@@ -1,8 +1,12 @@
 import inspect
 import math
+import os
+import subprocess
 import sys
+import textwrap
 import threading
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,8 +25,10 @@ from bellcal import (
     simulate_tally_and_chsh,
     visibility,
 )
+import bellcal
 from bellcal import clicks, montecarlo
 from bellcal.montecarlo import (
+    MAX_LAMBDA_MEAN,
     _E_IDEAL,
     _MIN_PARALLEL_BLOCK,
     _block_rng,
@@ -127,6 +133,38 @@ class TestSimulatePulses:
         assert abs(rate_z(params, ClickKind.SINGLE, tally.singles, n)) < 4.0
         assert abs(rate_z(params, ClickKind.DOUBLE, tally.doubles, n)) < 4.0
         assert abs(rate_z(params, ClickKind.ENTANGLED, tally.entangled_coincidences, n)) < 4.0
+
+    # past the ceiling, a call builds an O(lambda) Poisson table and draws
+    # ~4 lambda uniforms per pulse; 1e3 pulses at lambda 1e3 take about a
+    # second, and a child process keeps a regression off this one's memory
+    def test_lambda_over_the_ceiling_rejected(self):
+        code = f"""
+            from bellcal import SimConfig, SourceParams, simulate_pulses, simulate_chsh
+            cfg = SimConfig(n_pulses=1000, seed=1)
+            for call in (
+                lambda params: simulate_pulses(params, cfg),
+                lambda params: simulate_chsh(params, 1.0, cfg),
+            ):
+                try:
+                    call(SourceParams(0.1, 1e3))
+                except ValueError as exc:
+                    print(exc)
+                else:
+                    raise SystemExit("lambda_mean 1e3 accepted")
+                print(call(SourceParams(0.1, {MAX_LAMBDA_MEAN!r})) is not None)
+        """
+        root = str(Path(bellcal.__file__).resolve().parent.parent)
+        path = os.pathsep.join(filter(None, (root, os.environ.get("PYTHONPATH"))))
+        result = subprocess.run(
+            [sys.executable, "-c", textwrap.dedent(code)],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": path},
+            timeout=30,
+        )
+        assert result.returncode == 0, result.stderr
+        message = "lambda_mean must be <= 100 for the Monte Carlo, got 1000.0"
+        assert result.stdout.splitlines() == [message, "True"] * 2
 
     def test_block_size_partitions_consistently(self):
         # a block boundary respects the per-block stream contract
