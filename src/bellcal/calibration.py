@@ -11,15 +11,18 @@ values, and convert the line (a, b) into the physical degradation parameters
 from __future__ import annotations
 
 import math
+import sys
 from typing import TYPE_CHECKING, Callable, NamedTuple, Sequence
 
-from .clicks import DEFAULT_PULSE_FREQ_HZ, _check_solver_source, _Record, _set_field, xi
+from .clicks import DEFAULT_PULSE_FREQ_HZ, _check_solver_source, _Record, xi
 from .clicks import _double_entangled, _double_entangled_slopes
 
 if TYPE_CHECKING:
     import numpy as np
 
 LAMBDA_BRACKET_CEILING = float(2**20)
+
+_FLOAT_MAX = sys.float_info.max
 
 
 class ModelError(Exception):
@@ -44,8 +47,13 @@ class ModelAssumptionError(ModelError):
 
 def _is_real(value: object) -> bool:
     """A number as the records and file readers take it: int or float
-    (np.float64 included), not bool (a subclass of int)."""
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+    (np.float64 included), not bool (a subclass of int), and not an int
+    beyond float range (float arithmetic raises OverflowError on it)."""
+    return (
+        isinstance(value, (int, float))
+        and not isinstance(value, bool)
+        and (isinstance(value, float) or abs(value) <= _FLOAT_MAX)
+    )
 
 
 class ExperimentRun(_Record):
@@ -55,33 +63,19 @@ class ExperimentRun(_Record):
     requires it on every run.
     """
 
-    __match_args__ = (
-        "run_id", "doubles_observed", "singles_observed", "duration_s", "bell_observed"
-    )
     run_id: int
     doubles_observed: int
     singles_observed: int
     duration_s: float
-    bell_observed: float | None
+    bell_observed: float | None = None
 
-    def __init__(
-        self,
-        run_id: int,
-        doubles_observed: int,
-        singles_observed: int,
-        duration_s: float,
-        bell_observed: float | None = None,
-    ) -> None:
-        _set_field(self, "run_id", run_id)
-        _set_field(self, "doubles_observed", doubles_observed)
-        _set_field(self, "singles_observed", singles_observed)
-        _set_field(self, "duration_s", duration_s)
-        _set_field(self, "bell_observed", bell_observed)
+    def _check(self) -> None:
         for name in ("doubles_observed", "singles_observed"):
             value = getattr(self, name)
-            # finite first: int() raises OverflowError on inf, a bare
-            # ValueError on NaN
-            if not 0 <= value < math.inf or value != int(value):
+            # in float range first: int() raises OverflowError on inf, a
+            # bare ValueError on NaN, and the solves OverflowError on an
+            # int beyond float range
+            if not 0 <= value <= _FLOAT_MAX or value != int(value):
                 raise ValueError(
                     f"run {self.run_id}: {name} must be a nonnegative integer, "
                     f"got {value}"
@@ -106,23 +100,12 @@ class BellCertificate(_Record):
     through the visibility. The linear noise model is meaningless without it.
     """
 
-    __match_args__ = ("name", "tsirelson_bound", "classical_bound", "trace_zero")
     name: str
     tsirelson_bound: float
     classical_bound: float
-    trace_zero: bool
+    trace_zero: bool = True
 
-    def __init__(
-        self,
-        name: str,
-        tsirelson_bound: float,
-        classical_bound: float,
-        trace_zero: bool = True,
-    ) -> None:
-        _set_field(self, "name", name)
-        _set_field(self, "tsirelson_bound", tsirelson_bound)
-        _set_field(self, "classical_bound", classical_bound)
-        _set_field(self, "trace_zero", trace_zero)
+    def _check(self) -> None:
         if not isinstance(self.name, str):
             raise ValueError(f"name must be a string, got {self.name!r}")
         for key in ("tsirelson_bound", "classical_bound"):
@@ -164,9 +147,6 @@ class PhysicalFit(_Record):
     recoverable: a = -alpha*T*xi/2 and b = alpha*T - beta.
     """
 
-    __match_args__ = (
-        "slope_a", "intercept_b", "rmse", "eta_used", "xi_used", "alpha", "beta"
-    )
     slope_a: float
     intercept_b: float
     rmse: float
@@ -175,23 +155,7 @@ class PhysicalFit(_Record):
     alpha: float
     beta: float
 
-    def __init__(
-        self,
-        slope_a: float,
-        intercept_b: float,
-        rmse: float,
-        eta_used: float,
-        xi_used: float,
-        alpha: float,
-        beta: float,
-    ) -> None:
-        _set_field(self, "slope_a", slope_a)
-        _set_field(self, "intercept_b", intercept_b)
-        _set_field(self, "rmse", rmse)
-        _set_field(self, "eta_used", eta_used)
-        _set_field(self, "xi_used", xi_used)
-        _set_field(self, "alpha", alpha)
-        _set_field(self, "beta", beta)
+    def _check(self) -> None:
         for name, value in vars(self).items():
             if not _is_real(value):
                 raise ValueError(f"{name} must be a number, got {value!r}")
@@ -212,17 +176,9 @@ class RunCalibration(NamedTuple):
 class CalibrationReport(_Record):
     """Full calibration result: eta, per-run values (sorted by run_id), fit."""
 
-    __match_args__ = ("eta_hat", "per_run", "fit")
     eta_hat: float
     per_run: tuple[RunCalibration, ...]
     fit: PhysicalFit
-
-    def __init__(
-        self, eta_hat: float, per_run: tuple[RunCalibration, ...], fit: PhysicalFit
-    ) -> None:
-        _set_field(self, "eta_hat", eta_hat)
-        _set_field(self, "per_run", per_run)
-        _set_field(self, "fit", fit)
 
 
 def estimate_eta(runs: Sequence[ExperimentRun]) -> float:
@@ -461,8 +417,11 @@ def calibrate(
         raise CalibrationError(
             f"runs {missing} have no bell_observed; calibration needs it on every run"
         )
-    eta_hat = estimate_eta(runs)
     ordered = sorted(runs, key=lambda r: r.run_id)
+    repeated = sorted({a.run_id for a, b in zip(ordered, ordered[1:]) if a.run_id == b.run_id})
+    if repeated:
+        raise CalibrationError(f"run_id {repeated} repeated; each run needs its own id")
+    eta_hat = estimate_eta(runs)
     # solve_lambda_from_counts errors already name the offending run
     lambdas = [
         solve_lambda_from_counts(run, eta_hat, pulse_freq_hz, tol) for run in ordered

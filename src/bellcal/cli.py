@@ -41,7 +41,6 @@ from .clicks import (
     DEFAULT_PULSE_FREQ_HZ,
     SourceParams,
     _Record,
-    _set_field,
     expected_rate,
 )
 from .prediction import (
@@ -82,26 +81,13 @@ class ReportFileError(ValueError):
 class ToolConfig(_Record):
     """Tool-level knobs; everything has a working default."""
 
-    __match_args__ = ("pulse_freq_hz", "lambda_tol", "bell_tol", "decimals", "certificate")
-    pulse_freq_hz: float
-    lambda_tol: float
-    bell_tol: float
-    decimals: int
-    certificate: BellCertificate
+    pulse_freq_hz: float = DEFAULT_PULSE_FREQ_HZ
+    lambda_tol: float = 1e-10
+    bell_tol: float = 1e-8
+    decimals: int = 4
+    certificate: BellCertificate = chsh_certificate()
 
-    def __init__(
-        self,
-        pulse_freq_hz: float = DEFAULT_PULSE_FREQ_HZ,
-        lambda_tol: float = 1e-10,
-        bell_tol: float = 1e-8,
-        decimals: int = 4,
-        certificate: BellCertificate = chsh_certificate(),
-    ) -> None:
-        _set_field(self, "pulse_freq_hz", pulse_freq_hz)
-        _set_field(self, "lambda_tol", lambda_tol)
-        _set_field(self, "bell_tol", bell_tol)
-        _set_field(self, "decimals", decimals)
-        _set_field(self, "certificate", certificate)
+    def _check(self) -> None:
         for name in ("pulse_freq_hz", "lambda_tol", "bell_tol"):
             value = getattr(self, name)
             if not (_is_real(value) and 0.0 < value < math.inf):
@@ -116,6 +102,8 @@ def _read_json(path: str | Path, error: type[ValueError]) -> object:
         return json.loads(Path(path).read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise error(f"{path}: not valid JSON ({exc})") from exc
+    except RecursionError:
+        raise error(f"{path}: JSON nested too deeply to read") from None
 
 
 def _reject_unknown_keys(path: str | Path, what: str, raw: dict, record: type) -> None:
@@ -152,7 +140,7 @@ def read_run_file(path: str | Path) -> tuple[ExperimentRun, ...]:
 
     The header is mandatory; unknown column names are rejected, as are
     missing required columns and duplicate headers. Value errors carry
-    the 1-based line number.
+    the 1-based line number, and a repeated run_id names both lines.
     """
     try:
         text = Path(path).read_text(encoding="utf-8")
@@ -160,10 +148,12 @@ def read_run_file(path: str | Path) -> tuple[ExperimentRun, ...]:
         raise RunFileError(f"{path}: not valid UTF-8 ({exc})") from exc
     reader = csv.reader(io.StringIO(text))
     try:
-        header = next(reader)
-    except StopIteration:
-        raise RunFileError(f"{path}: empty file, header row required") from None
-    header = [name.strip() for name in header]
+        rows = list(reader)
+    except csv.Error as exc:
+        raise RunFileError(f"{path}:{reader.line_num}: {exc}") from None
+    if not rows:
+        raise RunFileError(f"{path}: empty file, header row required")
+    header = [name.strip() for name in rows[0]]
     known = set(RUN_COLUMNS_REQUIRED) | set(RUN_COLUMNS_OPTIONAL)
     unknown = [name for name in header if name not in known]
     if unknown:
@@ -177,7 +167,8 @@ def read_run_file(path: str | Path) -> tuple[ExperimentRun, ...]:
     idx = {name: header.index(name) for name in header}
 
     runs = []
-    for lineno, record in enumerate(reader, start=2):
+    first_lines: dict[int, int] = {}
+    for lineno, record in enumerate(rows[1:], start=2):
         if not record or all(not cell.strip() for cell in record):
             continue
         if len(record) != len(header):
@@ -198,6 +189,9 @@ def read_run_file(path: str | Path) -> tuple[ExperimentRun, ...]:
             )
         except ValueError as exc:
             raise RunFileError(f"{path}:{lineno}: {exc}") from exc
+        first = first_lines.setdefault(run.run_id, lineno)
+        if first != lineno:
+            raise RunFileError(f"{path}:{lineno}: run_id {run.run_id} repeats line {first}")
         runs.append(run)
     if not runs:
         raise RunFileError(f"{path}: no data rows")
@@ -361,6 +355,13 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
         print(f"note: no --runs given, using bundled dataset {runs_path}", file=sys.stderr)
     else:
         runs_path = Path(args.runs)
+    out_path = Path(args.out)
+    csv_path = out_path.with_suffix(".csv")
+    for path in (out_path, csv_path):
+        if path.resolve() == runs_path.resolve():
+            raise ValueError(
+                f"--out {out_path}: writing {path} would overwrite the run file {runs_path}"
+            )
     runs = read_run_file(runs_path)
     report = calibrate(
         runs,
@@ -369,7 +370,6 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
         tol=cfg.lambda_tol,
     )
 
-    out_path = Path(args.out)
     write_report(out_path, report, cfg.certificate, cfg.pulse_freq_hz)
     print(f"wrote {out_path}", file=sys.stderr)
 
@@ -378,7 +378,6 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
     columns = list(merged[0])
     rows = [list(row.values()) for row in merged]
     overrides = {"duration_s": lambda v: f"{v:g}"}
-    csv_path = out_path.with_suffix(".csv")
     csv_path.write_text(
         _render("csv", columns, rows, cfg.decimals, overrides), encoding="utf-8"
     )
@@ -500,7 +499,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 def cmd_simulate(args: argparse.Namespace) -> int:
     # the Monte Carlo is the only subcommand that needs numpy
-    from .montecarlo import MAX_LAMBDA_MEAN, SimConfig, simulate_tally_and_chsh
+    from .montecarlo import MAX_LAMBDA_MEAN, MAX_PULSES, SimConfig, simulate_tally_and_chsh
 
     cfg = _load_config(args)
     if not 0.0 <= args.eta <= 1.0:
@@ -511,6 +510,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         )
     if args.pulses <= 0:
         raise ValueError(f"--pulses must be > 0, got {args.pulses}")
+    if args.pulses > MAX_PULSES:
+        raise ValueError(f"--pulses must be at most {MAX_PULSES:g}, got {args.pulses}")
     if not 0 <= args.seed < 2**64:
         raise ValueError(f"--seed must fit in 64 unsigned bits, got {args.seed}")
     params = SourceParams(args.eta, args.lambda_mean, cfg.pulse_freq_hz)
@@ -641,7 +642,9 @@ def build_parser() -> argparse.ArgumentParser:
         default=1.0,
         help="state visibility of the simulated source (default: 1)",
     )
-    p_sim.add_argument("--pulses", type=int, default=1_000_000, help="pulses to draw")
+    p_sim.add_argument(
+        "--pulses", type=int, default=1_000_000, help="pulses to draw, at most 1e10"
+    )
     p_sim.add_argument("--seed", type=int, default=0, help="RNG seed (64-bit unsigned)")
     add_common(p_sim)
     p_sim.set_defaults(func=cmd_simulate)

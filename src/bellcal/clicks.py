@@ -23,21 +23,37 @@ import math
 
 DEFAULT_PULSE_FREQ_HZ = 8.0e7
 
-# the records' __init__ sets fields past their own __setattr__
-_set_field = object.__setattr__
-
 
 class _Record:
     """Base of the package's frozen records.
 
-    A record names its fields, in order, in ``__match_args__`` and sets each
-    one once in ``__init__`` through ``_set_field``, so ``vars()`` lists them
-    in that order. repr, == (same class only) and hash (of the tuple of
-    field values) work over them; assignment and deletion raise
-    AttributeError. Copies and pickles restore ``__dict__`` directly.
+    A record declares its fields once, as class annotations in order; a
+    class attribute of the same name is that field's default. Each subclass
+    gets ``__match_args__`` (the field names) and an ``__init__`` that sets
+    every field once, in that order, and then calls ``_check()``, so
+    ``vars()`` lists them in order. repr, == (same class only) and hash (of
+    the tuple of field values) work over them; assignment and deletion
+    raise AttributeError. Copies and pickles restore ``__dict__`` directly.
     """
 
     __match_args__: tuple[str, ...]
+
+    def __init_subclass__(cls) -> None:
+        fields = tuple(cls.__annotations__)
+        # one generated def, as collections.namedtuple builds __new__: a
+        # plain signature checks the arguments and words their TypeErrors
+        params = ", ".join(
+            f"{name}=_attrs[{name!r}]" if name in vars(cls) else name for name in fields
+        )
+        body = "".join(f"    _set(self, {name!r}, {name})\n" for name in fields)
+        namespace = {"_attrs": vars(cls), "_set": object.__setattr__}
+        exec(f"def __init__(self, {params}):\n{body}    self._check()\n", namespace)
+        cls.__init__ = namespace["__init__"]
+        cls.__init__.__qualname__ = f"{cls.__qualname__}.__init__"
+        setattr(cls, "__match_args__", fields)
+
+    def _check(self) -> None:
+        """Validate the fields once they are set; the base accepts any."""
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -75,17 +91,11 @@ class SourceParams(_Record):
         pulse_freq_hz: laser repetition rate in Hz, finite, > 0.
     """
 
-    __match_args__ = ("eta", "lambda_mean", "pulse_freq_hz")
     eta: float
     lambda_mean: float
-    pulse_freq_hz: float
+    pulse_freq_hz: float = DEFAULT_PULSE_FREQ_HZ
 
-    def __init__(
-        self, eta: float, lambda_mean: float, pulse_freq_hz: float = DEFAULT_PULSE_FREQ_HZ
-    ) -> None:
-        _set_field(self, "eta", eta)
-        _set_field(self, "lambda_mean", lambda_mean)
-        _set_field(self, "pulse_freq_hz", pulse_freq_hz)
+    def _check(self) -> None:
         _check_eta(self.eta)
         if not 0.0 <= self.lambda_mean < math.inf:
             raise ValueError(

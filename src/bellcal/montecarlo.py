@@ -45,7 +45,7 @@ from itertools import takewhile
 
 import numpy as np
 
-from .clicks import SourceParams, _Record, _set_field, poisson_pmf
+from .clicks import SourceParams, _Record, poisson_pmf
 
 # Largest mean pairs per pulse the Monte Carlo accepts. A pulse draws about
 # 4 * lambda_mean uniforms and the Poisson table has O(lambda_mean) entries,
@@ -53,6 +53,11 @@ from .clicks import SourceParams, _Record, _set_field, poisson_pmf
 # at the ceiling 1000 pulses take a fraction of a second. The model's regime
 # is lambda_mean of order 1.
 MAX_LAMBDA_MEAN = 100.0
+
+# Largest pulse count the Monte Carlo accepts: minutes of drawing at the tens
+# of Mpulse/s a few CPUs reach (test_08 draws 10^7). Without a ceiling a
+# mistyped count runs for days, or overflows the block arithmetic.
+MAX_PULSES = 10**10
 
 
 class SimConfig(_Record):
@@ -63,15 +68,11 @@ class SimConfig(_Record):
     thread holds: a few arrays of block_size uniforms.
     """
 
-    __match_args__ = ("n_pulses", "seed", "block_size")
     n_pulses: int
     seed: int
-    block_size: int
+    block_size: int = 1 << 16
 
-    def __init__(self, n_pulses: int, seed: int, block_size: int = 1 << 16) -> None:
-        _set_field(self, "n_pulses", n_pulses)
-        _set_field(self, "seed", seed)
-        _set_field(self, "block_size", block_size)
+    def _check(self) -> None:
         for name in ("n_pulses", "seed", "block_size"):
             value = getattr(self, name)
             try:
@@ -85,6 +86,8 @@ class SimConfig(_Record):
                 raise ValueError(f"{name} must be an integer, got {value!r}") from None
         if self.n_pulses <= 0:
             raise ValueError(f"n_pulses must be > 0, got {self.n_pulses}")
+        if self.n_pulses > MAX_PULSES:
+            raise ValueError(f"n_pulses must be at most {MAX_PULSES:g}, got {self.n_pulses}")
         if not 0 <= self.seed < 2**64:
             raise ValueError(f"seed must fit in 64 unsigned bits, got {self.seed}")
         if self.block_size <= 0:
@@ -94,19 +97,12 @@ class SimConfig(_Record):
 class PulseTally(_Record):
     """Click counts over a simulated pulse train."""
 
-    __match_args__ = ("pulses", "singles", "doubles", "entangled_coincidences")
     pulses: int
     singles: int
     doubles: int
     entangled_coincidences: int
 
-    def __init__(
-        self, pulses: int, singles: int, doubles: int, entangled_coincidences: int
-    ) -> None:
-        _set_field(self, "pulses", pulses)
-        _set_field(self, "singles", singles)
-        _set_field(self, "doubles", doubles)
-        _set_field(self, "entangled_coincidences", entangled_coincidences)
+    def _check(self) -> None:
         if min(self.pulses, self.singles, self.doubles, self.entangled_coincidences) < 0:
             raise ValueError("tally counts must be >= 0")
         if not self.entangled_coincidences <= self.doubles <= self.pulses:
@@ -121,23 +117,10 @@ class PulseTally(_Record):
 class ChshEstimate(_Record):
     """Empirical CHSH value with per-setting correlators and standard error."""
 
-    __match_args__ = ("bell_value", "correlators", "setting_counts", "std_error")
     bell_value: float
     correlators: tuple[float, float, float, float]
     setting_counts: tuple[int, int, int, int]
     std_error: float
-
-    def __init__(
-        self,
-        bell_value: float,
-        correlators: tuple[float, float, float, float],
-        setting_counts: tuple[int, int, int, int],
-        std_error: float,
-    ) -> None:
-        _set_field(self, "bell_value", bell_value)
-        _set_field(self, "correlators", correlators)
-        _set_field(self, "setting_counts", setting_counts)
-        _set_field(self, "std_error", std_error)
 
 
 def _block_rng(seed: int, block: int) -> np.random.Generator:

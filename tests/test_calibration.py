@@ -69,8 +69,11 @@ class TestExperimentRun:
             ExperimentRun(4, 10, 20, 1.0, bad)
 
     # int(inf) raises OverflowError and int(nan) a ValueError naming neither
-    # the run nor the field, so the finite check has to come first
-    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    # the run nor the field, so the finite check has to come first; an int
+    # beyond float range used to pass and raise OverflowError in the solves
+    @pytest.mark.parametrize(
+        "bad", [math.nan, math.inf, -math.inf, pytest.param(10**400, id="10**400")]
+    )
     @pytest.mark.parametrize("field", ["doubles_observed", "singles_observed"])
     def test_non_finite_count_rejected(self, field, bad):
         counts = {"doubles_observed": 10, "singles_observed": 20, field: bad}
@@ -266,7 +269,11 @@ class TestFitLinear:
 
 
 class TestPhysicalFit:
-    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, True, "0.5", None])
+    # math.isfinite raised OverflowError on an int beyond float range
+    @pytest.mark.parametrize(
+        "bad",
+        [math.nan, math.inf, -math.inf, True, "0.5", None, pytest.param(10**400, id="10**400")],
+    )
     def test_non_finite_fields_rejected(self, bad):
         fit = to_physical(REFERENCE_SLOPE, REFERENCE_INTERCEPT, REFERENCE_ETA, chsh_certificate())
         for name in vars(fit):
@@ -353,6 +360,14 @@ class TestCalibrate:
             None,
         )
         with pytest.raises(CalibrationError, match="3"):
+            calibrate(runs)
+
+    # both runs used to be calibrated, and the CLI's per-run table showed
+    # the second one's counts on both rows
+    def test_repeated_run_id_rejected(self, reference_runs):
+        runs = list(reference_runs)
+        runs[4] = ExperimentRun(runs[1].run_id, *list(vars(runs[4]).values())[1:])
+        with pytest.raises(CalibrationError, match=rf"run_id \[{runs[1].run_id}\] repeated"):
             calibrate(runs)
 
     def test_single_run_degenerate(self, reference_runs):

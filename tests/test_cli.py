@@ -18,7 +18,14 @@ from bellcal import (
     SourceParams,
     predict_bell,
 )
-from bellcal.cli import bundled_runs_path, read_report, write_report
+from bellcal.cli import (
+    RunFileError,
+    bundled_runs_path,
+    read_report,
+    read_run_file,
+    write_report,
+)
+from bellcal.montecarlo import MAX_PULSES
 
 RUN_HEADER = "run_id,doubles_observed,singles_observed,duration_s,bell_observed"
 
@@ -119,6 +126,48 @@ class TestCalibrate:
         result = run_cli("calibrate", "--runs", "runs.csv", cwd=tmp_path, timeout=20)
         assert result.returncode == 2
         assert ":3:" in result.stderr
+
+    # the per-run CSV goes to --out with a .csv suffix: --out runs.json
+    # used to replace runs.csv with the per-run table, --out runs.csv the
+    # report
+    @pytest.mark.parametrize("out", ["runs.json", "runs.csv"])
+    def test_out_over_the_run_file_rejected(self, tmp_path, out):
+        runs = tmp_path / "runs.csv"
+        runs.write_bytes(bundled_runs_path().read_bytes())
+        result = run_cli("calibrate", "--runs", "runs.csv", "--out", out, cwd=tmp_path)
+        assert result.returncode == 2, result.stderr
+        assert result.stderr.startswith(f"error: --out {out}: ")
+        assert "the run file runs.csv" in result.stderr
+        assert runs.read_bytes() == bundled_runs_path().read_bytes()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["runs.csv"]
+
+    # a repeated run_id used to calibrate, with one run's counts on both rows
+    def test_repeated_run_id_names_both_lines(self, tmp_path):
+        runs = tmp_path / "runs.csv"
+        runs.write_text(RUN_HEADER + "\n1,1000,30000,10,2.6\n2,2000,31000,10,2.5\n1,10,20,1,2.7\n")
+        with pytest.raises(RunFileError, match="runs.csv:4: run_id 1 repeats line 2"):
+            read_run_file(runs)
+        result = run_cli("calibrate", "--runs", "runs.csv", cwd=tmp_path)
+        assert result.returncode == 2
+        assert "runs.csv:4: run_id 1 repeats line 2" in result.stderr
+
+    # each used to exit 1 with a traceback: csv's field limit, and an int
+    # count beyond float range (OverflowError in the solves)
+    @pytest.mark.parametrize(
+        "row, reason",
+        [
+            ("2," + "1" * 140_000 + ",31000,10,2.5", "field larger than field limit"),
+            ("2,1" + "0" * 400 + ",31000,10,2.5", "run 2: doubles_observed"),
+        ],
+        ids=["long_cell", "count_beyond_float"],
+    )
+    def test_oversized_cell_names_the_line(self, tmp_path, row, reason):
+        runs = tmp_path / "runs.csv"
+        runs.write_text(RUN_HEADER + "\n1,1000,30000,10,2.6\n" + row + "\n")
+        result = run_cli("calibrate", "--runs", "runs.csv", cwd=tmp_path)
+        assert result.returncode == 2, result.stderr
+        assert result.stderr.startswith("error: runs.csv:3: ")
+        assert reason in result.stderr
 
     def test_missing_bell_column_is_a_model_error(self, tmp_path):
         runs = tmp_path / "runs.csv"
@@ -379,6 +428,10 @@ class TestSimulate:
             # minutes; this one would take about a second
             ("--lambda", "1000"),
             ("--pulses", "0"),
+            # one over the pulse cap is refused before any draw; 10^26 used
+            # to overflow the block arithmetic
+            ("--pulses", str(MAX_PULSES + 1)),
+            ("--pulses", str(10**26)),
             ("--eta", "2"),
             ("--seed", "-1"),
             ("--seed", str(2**64)),
@@ -447,6 +500,8 @@ class TestConfig:
             ("certificate", {"name": 5, "tsirelson_bound": 2.8, "classical_bound": 2.0}),
             ("certificate", {"name": "X", "tsirelson_bound": "3", "classical_bound": 2.0}),
             ("certificate", {"name": "X", "tsirelson_bound": 2.8, "classical_bound": True}),
+            # an int beyond float range used to raise OverflowError in a solve
+            pytest.param("pulse_freq_hz", 10**400, id="pulse_freq_hz-10**400"),
         ],
     )
     def test_bad_value_names_the_file_and_key(self, report_dir, tmp_path, key, value):
@@ -512,6 +567,9 @@ class TestReportFile:
             (None, "pulse_freq_hz", 0),
             (None, "pulse_freq_hz", -1),
             (None, "pulse_freq_hz", "8e7"),
+            # ints beyond float range used to raise OverflowError
+            pytest.param(None, "eta_hat", 10**400, id="None-eta_hat-10**400"),
+            pytest.param("fit", "slope_a", 10**400, id="fit-slope_a-10**400"),
         ],
     )
     def test_non_finite_value_names_the_file_and_key(
@@ -528,6 +586,15 @@ class TestReportFile:
         assert result.returncode == 2, result.stderr
         assert "edited.json" in result.stderr
         assert key in result.stderr
+
+    # json's decoder recursed past Python's limit: exit 1 with a traceback
+    def test_deep_nesting_names_the_file(self, tmp_path):
+        (tmp_path / "deep.json").write_text("[" * 200_000 + "]" * 200_000)
+        result = run_cli(
+            "predict", "--report", "deep.json", "--lambdas", "0.1", cwd=tmp_path,
+        )
+        assert result.returncode == 2, result.stderr
+        assert result.stderr == "error: deep.json: JSON nested too deeply to read\n"
 
     # RunCalibration is a named tuple that checks nothing, so the reader
     # checks the per-run entries itself

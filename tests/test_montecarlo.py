@@ -29,6 +29,7 @@ import bellcal
 from bellcal import clicks, montecarlo
 from bellcal.montecarlo import (
     MAX_LAMBDA_MEAN,
+    MAX_PULSES,
     _E_IDEAL,
     _MIN_PARALLEL_BLOCK,
     _block_rng,
@@ -51,6 +52,13 @@ class TestSimConfig:
             SimConfig(n_pulses=100, seed=2**64)
         with pytest.raises(ValueError):
             SimConfig(n_pulses=100, seed=1, block_size=0)
+
+    # without a cap 10^12 pulses ran for days and 10^26 overflowed the
+    # block arithmetic; one over it is refused before any draw
+    def test_pulses_capped(self):
+        assert SimConfig(n_pulses=MAX_PULSES, seed=0).n_pulses == 10**10
+        with pytest.raises(ValueError, match="n_pulses must be at most 1e\\+10"):
+            SimConfig(n_pulses=MAX_PULSES + 1, seed=0)
 
     def test_defaults(self):
         cfg = SimConfig(n_pulses=10, seed=0)

@@ -156,10 +156,15 @@ def test_missing_and_unexpected_arguments(cls, fields, values, defaults):
     if len(defaults) < len(fields):
         kwargs = dict(zip(fields[1:], values[1:]))
         with pytest.raises(
-            TypeError, match=f"missing 1 required positional argument: '{fields[0]}'"
+            TypeError,
+            match=rf"{cls.__name__}\.__init__\(\) "
+            f"missing 1 required positional argument: '{fields[0]}'",
         ):
             cls(**kwargs)
-    with pytest.raises(TypeError, match="unexpected keyword argument 'bogus'"):
+    with pytest.raises(
+        TypeError,
+        match=rf"{cls.__name__}\.__init__\(\) got an unexpected keyword argument 'bogus'",
+    ):
         cls(*values, bogus=1)
     with pytest.raises(TypeError):
         cls(*values, values[0])
