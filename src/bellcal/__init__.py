@@ -27,9 +27,7 @@ from .calibration import (
     calibrate,
     chsh_certificate,
     estimate_eta,
-    estimate_eta_per_run,
     fit_linear,
-    solve_lambda_from_counts,
     solve_lambda_from_doubles,
     to_physical,
 )
@@ -39,7 +37,6 @@ from .clicks import (
     SourceParams,
     expected_doubles_count,
     expected_rate,
-    expected_singles_count,
     p_double,
     p_ent,
     p_single,
@@ -55,7 +52,6 @@ from .prediction import (
     solve_lambda_for_rate,
     sweep,
     visibility,
-    visibility_linearized,
 )
 
 __version__ = "0.1.0"
@@ -82,11 +78,9 @@ __all__ = [
     "calibrate",
     "chsh_certificate",
     "estimate_eta",
-    "estimate_eta_per_run",
     "events_per_second",
     "expected_doubles_count",
     "expected_rate",
-    "expected_singles_count",
     "fit_linear",
     "p_double",
     "p_ent",
@@ -98,12 +92,10 @@ __all__ = [
     "simulate_tally_and_chsh",
     "solve_lambda_for_bell",
     "solve_lambda_for_rate",
-    "solve_lambda_from_counts",
     "solve_lambda_from_doubles",
     "sweep",
     "to_physical",
     "visibility",
-    "visibility_linearized",
     "xi",
 ]
 

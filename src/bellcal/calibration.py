@@ -11,18 +11,12 @@ values, and convert the line (a, b) into the physical degradation parameters
 from __future__ import annotations
 
 import math
-import sys
-from typing import TYPE_CHECKING, Callable, NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence
 
-from .clicks import DEFAULT_PULSE_FREQ_HZ, _check_solver_source, _Record, xi
+from .clicks import DEFAULT_PULSE_FREQ_HZ, _FLOAT_MAX, _check_solver_source, _Record, xi
 from .clicks import _double_entangled, _double_entangled_slopes
 
-if TYPE_CHECKING:
-    import numpy as np
-
 LAMBDA_BRACKET_CEILING = float(2**20)
-
-_FLOAT_MAX = sys.float_info.max
 
 
 class ModelError(Exception):
@@ -80,12 +74,12 @@ class ExperimentRun(_Record):
                     f"run {self.run_id}: {name} must be a nonnegative integer, "
                     f"got {value}"
                 )
-        if not 0.0 < self.duration_s < math.inf:
+        if not 0.0 < self.duration_s <= _FLOAT_MAX:
             raise ValueError(
                 f"run {self.run_id}: duration_s must be finite and > 0, "
                 f"got {self.duration_s}"
             )
-        if self.bell_observed is not None and not math.isfinite(self.bell_observed):
+        if self.bell_observed is not None and not abs(self.bell_observed) <= _FLOAT_MAX:
             raise ValueError(
                 f"run {self.run_id}: bell_observed must be finite, "
                 f"got {self.bell_observed}"
@@ -185,7 +179,7 @@ def estimate_eta(runs: Sequence[ExperimentRun]) -> float:
     """Pooled first-order efficiency estimate, 2 / (2 + sum(s) / sum(c)).
 
     Pooling the counts before taking the ratio weighs each run by its
-    statistics; see estimate_eta_per_run for the unpooled diagnostic.
+    statistics.
     """
     if not runs:
         raise CalibrationError("cannot estimate eta from an empty run list")
@@ -194,23 +188,6 @@ def estimate_eta(runs: Sequence[ExperimentRun]) -> float:
     if doubles == 0.0:
         raise CalibrationError("cannot estimate eta: zero double clicks in total")
     return 2.0 / (2.0 + singles / doubles)
-
-
-def estimate_eta_per_run(runs: Sequence[ExperimentRun]) -> np.ndarray:
-    """Unpooled per-run efficiency estimates, one per run (diagnostic).
-
-    The spread of these values against the pooled estimate indicates drift
-    between runs; their mean is a common alternative estimator.
-    """
-    if not runs:
-        raise CalibrationError("cannot estimate eta from an empty run list")
-    if any(r.doubles_observed == 0 for r in runs):
-        raise CalibrationError("per-run eta undefined for runs with zero doubles")
-    import numpy as np  # deferred: the rest of the pipeline runs without numpy
-
-    return np.array(
-        [2.0 / (2.0 + r.singles_observed / r.doubles_observed) for r in runs]
-    )
 
 
 def _newton_lambda(
@@ -285,22 +262,23 @@ def solve_lambda_from_doubles(
 
     Raises BracketError if no bracket exists below the lambda ceiling, which
     happens when the observation exceeds every achievable count (more doubles
-    than pulses).
+    than pulses), and ValueError if the pulse count f t overflows.
     """
     _check_solver_source(eta, pulse_freq_hz)
     if not tol > 0.0:
         raise ValueError(f"tol must be > 0, got {tol}")
-    if not 0.0 <= doubles < math.inf:
+    if not 0.0 <= doubles <= _FLOAT_MAX:
         raise ValueError(f"doubles must be finite and >= 0, got {doubles}")
-    if not 0.0 < duration_s < math.inf:
+    if not 0.0 < duration_s <= _FLOAT_MAX:
         raise ValueError(f"duration_s must be finite and > 0, got {duration_s}")
+    pulses = pulse_freq_hz * duration_s
+    if pulses == math.inf:
+        raise ValueError(
+            f"pulse_freq_hz * duration_s must be finite, got {pulse_freq_hz} * {duration_s}"
+        )
 
     return _lambda_for_doubles(
-        doubles,
-        pulse_freq_hz * duration_s,
-        eta,
-        tol,
-        f"expected doubles never reach {doubles}",
+        doubles, pulses, eta, tol, f"expected doubles never reach {doubles}"
     )
 
 
@@ -317,25 +295,6 @@ def _lambda_for_doubles(
         return pulses * double - target, pulses * double_slope
 
     return _newton_lambda(excess, target / pulses / eta / eta, tol, unreached)
-
-
-def solve_lambda_from_counts(
-    run: ExperimentRun,
-    eta: float,
-    pulse_freq_hz: float = DEFAULT_PULSE_FREQ_HZ,
-    tol: float = 1e-10,
-) -> float:
-    """Recover the mean pairs per pulse that reproduces a run's double count.
-
-    Thin wrapper over solve_lambda_from_doubles that attaches the run id to
-    any solver failure.
-    """
-    try:
-        return solve_lambda_from_doubles(
-            run.doubles_observed, run.duration_s, eta, pulse_freq_hz, tol
-        )
-    except BracketError as exc:
-        raise BracketError(f"run {run.run_id}: {exc}") from None
 
 
 def fit_linear(points: Sequence[tuple[float, float]]) -> tuple[float, float, float]:
@@ -407,9 +366,10 @@ def calibrate(
 ) -> CalibrationReport:
     """Run the full calibration pipeline on a set of measurement runs.
 
-    Composes estimate_eta, per-run lambda recovery, the linear fit, and the
-    physical-parameter conversion. The report's per-run entries are sorted by
-    run_id and carry the fit-line value a * lambda + b for each run.
+    Composes estimate_eta, per-run lambda recovery by
+    solve_lambda_from_doubles (its errors gain the run id), the linear fit,
+    and the physical-parameter conversion. The report's per-run entries are
+    sorted by run_id and carry the fit-line value a * lambda + b for each run.
     """
     cert = chsh_certificate() if cert is None else cert
     missing = [r.run_id for r in runs if r.bell_observed is None]
@@ -422,10 +382,16 @@ def calibrate(
     if repeated:
         raise CalibrationError(f"run_id {repeated} repeated; each run needs its own id")
     eta_hat = estimate_eta(runs)
-    # solve_lambda_from_counts errors already name the offending run
-    lambdas = [
-        solve_lambda_from_counts(run, eta_hat, pulse_freq_hz, tol) for run in ordered
-    ]
+    lambdas = []
+    for run in ordered:
+        try:
+            lambdas.append(
+                solve_lambda_from_doubles(
+                    run.doubles_observed, run.duration_s, eta_hat, pulse_freq_hz, tol
+                )
+            )
+        except (BracketError, ValueError) as exc:
+            raise type(exc)(f"run {run.run_id}: {exc}") from None
     slope, intercept, rmse = fit_linear(
         [(lam, run.bell_observed) for lam, run in zip(lambdas, ordered)]
     )

@@ -20,7 +20,6 @@ import io
 import json
 import math
 import sys
-from importlib.resources import files as _resource_files
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -100,6 +99,8 @@ class ToolConfig(_Record):
 def _read_json(path: str | Path, error: type[ValueError]) -> object:
     try:
         return json.loads(Path(path).read_text(encoding="utf-8"))
+    except UnicodeDecodeError as exc:
+        raise error(f"{path}: not valid UTF-8 ({exc})") from exc
     except json.JSONDecodeError as exc:
         raise error(f"{path}: not valid JSON ({exc})") from exc
     except RecursionError:
@@ -199,8 +200,9 @@ def read_run_file(path: str | Path) -> tuple[ExperimentRun, ...]:
 
 
 def bundled_runs_path() -> Path:
-    """Path of the packaged seven-run reference dataset."""
-    return Path(str(_resource_files("bellcal").joinpath("data", BUNDLED_RUNS)))
+    """Path of the packaged seven-run reference dataset, installed as a plain
+    file next to this module."""
+    return Path(__file__).parent / "data" / BUNDLED_RUNS
 
 
 def write_report(
@@ -226,7 +228,8 @@ def write_report(
 def read_report(
     path: str | Path,
 ) -> tuple[CalibrationReport, BellCertificate, float]:
-    """Load a calibration report written by write_report."""
+    """Load a calibration report written by write_report; pulse_freq_hz
+    must be > 0, as the subcommands' solves need."""
     raw = _read_json(path, ReportFileError)
     if not isinstance(raw, dict) or raw.get("schema") != REPORT_SCHEMA:
         raise ReportFileError(
@@ -247,18 +250,10 @@ def read_report(
             eta_hat=float(raw["eta_hat"]), per_run=per_run, fit=fit
         )
         pulse_freq_hz = float(raw["pulse_freq_hz"])
+        if not pulse_freq_hz > 0.0:
+            raise ValueError(f"pulse_freq_hz must be > 0, got {pulse_freq_hz}")
     except (KeyError, TypeError, ValueError) as exc:
         raise ReportFileError(f"{path}: malformed report ({exc})") from exc
-    return report, certificate, pulse_freq_hz
-
-
-def _load_report(path: str | Path) -> tuple[CalibrationReport, BellCertificate, float]:
-    """read_report, plus the range the subcommands' solves need."""
-    report, certificate, pulse_freq_hz = read_report(path)
-    if not pulse_freq_hz > 0.0:
-        raise ReportFileError(
-            f"{path}: malformed report (pulse_freq_hz must be > 0, got {pulse_freq_hz})"
-        )
     return report, certificate, pulse_freq_hz
 
 
@@ -405,7 +400,7 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
 
 def cmd_predict(args: argparse.Namespace) -> int:
     cfg = _load_config(args)
-    report, certificate, pulse_freq_hz = _load_report(args.report)
+    report, certificate, pulse_freq_hz = read_report(args.report)
     eta = report.fit.eta_used
     if args.lambdas is not None:
         lambdas = _parse_float_list(args.lambdas, "--lambdas")
@@ -440,7 +435,7 @@ def cmd_predict(args: argparse.Namespace) -> int:
 
 def cmd_extrapolate(args: argparse.Namespace) -> int:
     cfg = _load_config(args)
-    report, certificate, pulse_freq_hz = _load_report(args.report)
+    report, certificate, pulse_freq_hz = read_report(args.report)
     eta = report.fit.eta_used
     targets = _parse_float_list(args.targets, "--targets")
 
@@ -470,7 +465,7 @@ def cmd_extrapolate(args: argparse.Namespace) -> int:
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     cfg = _load_config(args)
-    report, certificate, pulse_freq_hz = _load_report(args.report)
+    report, certificate, pulse_freq_hz = read_report(args.report)
     if not 2 <= args.steps <= MAX_SWEEP_STEPS:
         raise ValueError(f"--steps must be in [2, {MAX_SWEEP_STEPS}], got {args.steps}")
     for flag, value in (("--lambda-min", args.lambda_min), ("--lambda-max", args.lambda_max)):

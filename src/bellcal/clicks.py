@@ -20,8 +20,11 @@ from __future__ import annotations
 
 import enum
 import math
+import sys
 
 DEFAULT_PULSE_FREQ_HZ = 8.0e7
+
+_FLOAT_MAX = sys.float_info.max
 
 
 class _Record:
@@ -97,11 +100,12 @@ class SourceParams(_Record):
 
     def _check(self) -> None:
         _check_eta(self.eta)
-        if not 0.0 <= self.lambda_mean < math.inf:
+        # <= _FLOAT_MAX, not < inf: an int beyond float range overflows later
+        if not 0.0 <= self.lambda_mean <= _FLOAT_MAX:
             raise ValueError(
                 f"lambda_mean must be finite and >= 0, got {self.lambda_mean}"
             )
-        if not 0.0 < self.pulse_freq_hz < math.inf:
+        if not 0.0 < self.pulse_freq_hz <= _FLOAT_MAX:
             raise ValueError(
                 f"pulse_freq_hz must be finite and > 0, got {self.pulse_freq_hz}"
             )
@@ -116,7 +120,7 @@ def _check_solver_source(eta: float, pulse_freq_hz: float = DEFAULT_PULSE_FREQ_H
     """What SourceParams checks, with eta = 0 excluded (no clicks to invert)."""
     if not 0.0 < eta <= 1.0:
         raise ValueError(f"eta must be in (0, 1], got {eta}")
-    if not 0.0 < pulse_freq_hz < math.inf:
+    if not 0.0 < pulse_freq_hz <= _FLOAT_MAX:
         raise ValueError(f"pulse_freq_hz must be finite and > 0, got {pulse_freq_hz}")
 
 
@@ -212,24 +216,14 @@ def _double_entangled_slopes(eta: float, lambda_mean: float) -> tuple[float, flo
     return double_slope, eta * eta * math.exp(-a * (2.0 - eta)) * (1.0 - a * (2.0 - eta))
 
 
-def _check_duration(duration_s: float) -> None:
-    if not 0.0 < duration_s < math.inf:
-        raise ValueError(f"duration_s must be finite and > 0, got {duration_s}")
-
-
-def expected_singles_count(params: SourceParams, duration_s: float) -> float:
-    """Expected single clicks over duration_s seconds: f * t * rate(Single)."""
-    _check_duration(duration_s)
-    return params.pulse_freq_hz * duration_s * expected_rate(params, ClickKind.SINGLE)
-
-
 def expected_doubles_count(params: SourceParams, duration_s: float) -> float:
     """Expected double clicks over duration_s seconds: f * t * rate(Double).
 
     Strictly increasing in lambda_mean at fixed eta > 0, which is what makes
     the count-to-lambda inversion in the calibration layer well posed.
     """
-    _check_duration(duration_s)
+    if not 0.0 < duration_s <= _FLOAT_MAX:
+        raise ValueError(f"duration_s must be finite and > 0, got {duration_s}")
     return params.pulse_freq_hz * duration_s * expected_rate(params, ClickKind.DOUBLE)
 
 

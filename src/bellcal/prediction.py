@@ -30,7 +30,6 @@ from .clicks import (
     _double_entangled,
     _double_entangled_slopes,
     expected_rate,
-    xi,
 )
 
 
@@ -63,13 +62,6 @@ def visibility(params: SourceParams) -> float:
         # both rates underflow for astronomically small lambda; use the limit
         return 1.0
     return expected_rate(params, ClickKind.ENTANGLED) / doubles
-
-
-def visibility_linearized(eta: float, lambda_mean: float) -> float:
-    """First-order visibility 1 - (lambda/2) * xi(eta), valid for small lambda."""
-    if lambda_mean < 0.0:
-        raise ValueError(f"lambda_mean must be >= 0, got {lambda_mean}")
-    return 1.0 - 0.5 * lambda_mean * xi(eta)
 
 
 def _check_fit_consistency(

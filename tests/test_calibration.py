@@ -7,6 +7,7 @@ from bellcal import (
     BellCertificate,
     BracketError,
     CalibrationError,
+    ClickKind,
     DegenerateFitError,
     ExperimentRun,
     ModelAssumptionError,
@@ -16,11 +17,9 @@ from bellcal import (
     calibrate,
     chsh_certificate,
     estimate_eta,
-    estimate_eta_per_run,
     expected_doubles_count,
-    expected_singles_count,
+    expected_rate,
     fit_linear,
-    solve_lambda_from_counts,
     solve_lambda_from_doubles,
     to_physical,
 )
@@ -61,7 +60,10 @@ class TestExperimentRun:
         run = ExperimentRun(3, 10, 20, 1.0)
         assert run.bell_observed is None
 
-    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    # an int beyond float range passed and raised OverflowError later
+    @pytest.mark.parametrize(
+        "bad", [math.nan, math.inf, -math.inf, pytest.param(10**400, id="10**400")]
+    )
     def test_non_finite_duration_and_bell_rejected(self, bad):
         with pytest.raises(ValueError, match="run 4: duration_s"):
             ExperimentRun(4, 10, 20, bad)
@@ -147,13 +149,6 @@ class TestEstimateEta:
             estimate_eta(reference_runs), rel=1e-15
         )
 
-    def test_per_run_diagnostic(self, reference_runs):
-        values = estimate_eta_per_run(reference_runs)
-        assert values.shape == (7,)
-        assert np.all((values > 0.10) & (values < 0.13))
-        with pytest.raises(CalibrationError):
-            estimate_eta_per_run([ExperimentRun(1, 0, 5, 1.0)])
-
 
 class TestSolveLambda:
     def test_round_trip_property(self):
@@ -166,32 +161,46 @@ class TestSolveLambda:
 
     def test_reference_runs(self, reference_runs):
         for run, expected in zip(reference_runs, REFERENCE_LAMBDAS):
-            lam = solve_lambda_from_counts(run, REFERENCE_ETA)
+            lam = solve_lambda_from_doubles(
+                run.doubles_observed, run.duration_s, REFERENCE_ETA
+            )
             assert lam == pytest.approx(expected, abs=1e-9)
 
     def test_zero_count_is_zero_lambda(self):
         run = ExperimentRun(1, 0, 100, 5.0)
-        assert solve_lambda_from_counts(run, 0.5) == 0.0
+        assert solve_lambda_from_doubles(run.doubles_observed, run.duration_s, 0.5) == 0.0
 
     def test_unreachable_count_raises_with_run_context(self):
-        # more doubles than pulses: no lambda can produce this
-        run = ExperimentRun(9, 10**9, 0, 1.0)
-        with pytest.raises(BracketError, match="run 9"):
-            solve_lambda_from_counts(run, 0.5, pulse_freq_hz=8.0e7)
+        # run 9 has more doubles than pulses: no lambda can produce this
+        runs = [ExperimentRun(1, 1000, 30000, 1.0, 2.6), ExperimentRun(9, 10**9, 0, 1.0, 2.5)]
+        with pytest.raises(BracketError, match="^run 9: expected doubles never reach"):
+            calibrate(runs, pulse_freq_hz=8.0e7)
+
+    # f * t overflowed to inf, and the solve failed with "solver function is
+    # NaN at lambda = 0.0", naming no run
+    def test_pulse_count_overflow_names_the_values_and_run(self):
+        with pytest.raises(ValueError, match=r"got 80000000\.0 \* 1e\+308"):
+            solve_lambda_from_doubles(1000.0, 1e308, 0.5)
+        # an int frequency beyond float range raised OverflowError in f * t
+        with pytest.raises(ValueError, match="pulse_freq_hz"):
+            solve_lambda_from_doubles(1000.0, 10.0, 0.5, 10**400)
+        runs = [ExperimentRun(1, 1000, 30000, 10.0, 2.6), ExperimentRun(2, 2000, 31000, 1e308, 2.5)]
+        with pytest.raises(ValueError, match=r"^run 2: pulse_freq_hz \* duration_s"):
+            calibrate(runs)
 
     def test_eta_domain(self):
         run = ExperimentRun(1, 10, 0, 1.0)
         with pytest.raises(ValueError):
-            solve_lambda_from_counts(run, 0.0)
+            solve_lambda_from_doubles(run.doubles_observed, run.duration_s, 0.0)
         with pytest.raises(ValueError):
-            solve_lambda_from_counts(run, 1.5)
+            solve_lambda_from_doubles(run.doubles_observed, run.duration_s, 1.5)
 
     def test_tolerance_must_be_positive(self):
         run = ExperimentRun(1, 10, 0, 1.0)
         with pytest.raises(ValueError):
-            solve_lambda_from_counts(run, 0.5, tol=0.0)
+            solve_lambda_from_doubles(run.doubles_observed, run.duration_s, 0.5, tol=0.0)
         with pytest.raises(ValueError):
-            solve_lambda_from_counts(run, 0.5, tol=math.nan)
+            solve_lambda_from_doubles(run.doubles_observed, run.duration_s, 0.5, tol=math.nan)
 
     def test_nan_in_the_solver_is_an_error_not_zero_power(self):
         # a curved excess with its root at 0.3; NaN on the n-th evaluation,
@@ -215,7 +224,9 @@ class TestSolveLambda:
             lambda lam: (lam * lam - 0.09, 2.0 * lam), 0.5, 1e-10, "never"
         ) == pytest.approx(0.3, abs=1e-10)
 
-    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize(
+        "bad", [math.nan, math.inf, -math.inf, pytest.param(10**400, id="10**400")]
+    )
     def test_non_finite_inputs_rejected(self, bad):
         with pytest.raises(ValueError, match="doubles"):
             solve_lambda_from_doubles(bad, 10.0, 0.5)
@@ -382,7 +393,7 @@ class TestCalibrate:
         for i, lam in enumerate((0.002, 0.004, 0.006, 0.008, 0.010), start=1):
             params = SourceParams(eta_true, lam)
             doubles = round(expected_doubles_count(params, t))
-            singles = round(expected_singles_count(params, t))
+            singles = round(8.0e7 * t * expected_rate(params, ClickKind.SINGLE))
             bell = a_true * lam + b_true
             runs.append(ExperimentRun(i, doubles, singles, t, bell))
         report = calibrate(runs)

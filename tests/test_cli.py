@@ -169,6 +169,16 @@ class TestCalibrate:
         assert result.stderr.startswith("error: runs.csv:3: ")
         assert reason in result.stderr
 
+    # f * t overflowed to inf: "error: solver function is NaN at lambda = 0.0"
+    def test_pulse_count_overflow_names_the_run(self, tmp_path):
+        lines = bundled_runs_path().read_text().splitlines(keepends=True)
+        lines[2] = "2,43322946,660223194,1e308,2.6760\n"
+        (tmp_path / "runs.csv").write_text("".join(lines))
+        result = run_cli("calibrate", "--runs", "runs.csv", cwd=tmp_path)
+        assert result.returncode == 2, result.stderr
+        assert result.stderr.startswith("error: run 2: pulse_freq_hz * duration_s")
+        assert "Traceback" not in result.stderr
+
     def test_missing_bell_column_is_a_model_error(self, tmp_path):
         runs = tmp_path / "runs.csv"
         runs.write_text(
@@ -447,6 +457,16 @@ class TestSimulate:
 
 
 class TestConfig:
+    # the decoder's message used to reach stderr naming no file
+    def test_not_utf8_names_the_file(self, report_path, tmp_path):
+        (tmp_path / "bad.json").write_bytes(b"\xff\xfe{}")
+        result = run_cli(
+            "predict", "--report", str(report_path), "--lambdas", "0.1",
+            "--config", "bad.json", cwd=tmp_path,
+        )
+        assert result.returncode == 2, result.stderr
+        assert result.stderr.startswith("error: bad.json: not valid UTF-8")
+
     def test_invalid_json_rejected(self, report_dir, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text("{not json")
@@ -587,6 +607,13 @@ class TestReportFile:
         assert "edited.json" in result.stderr
         assert key in result.stderr
 
+    # the decoder's message used to reach stderr naming no file
+    def test_not_utf8_names_the_file(self, tmp_path):
+        (tmp_path / "bad.json").write_bytes(b"\xff\xfe{}")
+        result = run_cli("predict", "--report", "bad.json", "--lambdas", "0.1", cwd=tmp_path)
+        assert result.returncode == 2, result.stderr
+        assert result.stderr.startswith("error: bad.json: not valid UTF-8")
+
     # json's decoder recursed past Python's limit: exit 1 with a traceback
     def test_deep_nesting_names_the_file(self, tmp_path):
         (tmp_path / "deep.json").write_text("[" * 200_000 + "]" * 200_000)
@@ -626,6 +653,8 @@ class TestReportFile:
 
 
 FINITE = st.floats(allow_nan=False, allow_infinity=False)
+# read_report refuses pulse_freq_hz <= 0, which the solves cannot use
+POSITIVE = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
 
 
 @st.composite
@@ -654,7 +683,7 @@ def reports(draw):
 
 class TestReportRoundTrip:
     @settings(derandomize=True, max_examples=300, deadline=None)
-    @given(report=reports(), certificate=certificates(), pulse_freq_hz=FINITE)
+    @given(report=reports(), certificate=certificates(), pulse_freq_hz=POSITIVE)
     def test_read_returns_what_was_written(
         self, tmp_path_factory, report, certificate, pulse_freq_hz
     ):

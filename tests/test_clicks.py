@@ -8,7 +8,6 @@ from bellcal import (
     SourceParams,
     expected_doubles_count,
     expected_rate,
-    expected_singles_count,
     p_double,
     p_ent,
     p_single,
@@ -148,14 +147,15 @@ class TestExpectedRate:
         assert expected_doubles_count(params, 100.0) == pytest.approx(
             8.0e7 * 100.0 * rate, rel=1e-12
         )
-        assert expected_singles_count(params, 10.0) == pytest.approx(
-            8.0e7 * 10.0 * expected_rate(params, ClickKind.SINGLE), rel=1e-12
+        slower = SourceParams(0.1134, 0.0849, pulse_freq_hz=4.0e7)
+        assert expected_doubles_count(slower, 10.0) == pytest.approx(
+            0.05 * expected_doubles_count(params, 100.0), rel=1e-12
         )
 
     def test_counts_at_lowest_power_run(self):
         # independently computed model values at the run-7 operating point
         params = SourceParams(0.1134, 0.0036)
-        singles = expected_singles_count(params, 1e4)
+        singles = 8.0e7 * 1e4 * expected_rate(params, ClickKind.SINGLE)
         doubles = expected_doubles_count(params, 1e4)
         assert singles == pytest.approx(578719446.3, rel=1e-6)
         assert doubles == pytest.approx(37139436.4, rel=1e-6)
@@ -167,6 +167,8 @@ class TestExpectedRate:
     def test_duration_must_be_positive(self):
         with pytest.raises(ValueError):
             expected_doubles_count(SourceParams(0.5, 0.1), 0.0)
+        with pytest.raises(ValueError, match="duration_s"):
+            expected_doubles_count(SourceParams(0.5, 0.1), 10**400)
 
 
 class TestClosedFormsMatchPerK:
@@ -235,6 +237,13 @@ class TestSourceParams:
             SourceParams(0.5, -0.1)
         with pytest.raises(ValueError):
             SourceParams(0.5, 0.1, pulse_freq_hz=0.0)
+        # ints beyond float range used to construct, and visibility() then
+        # raised OverflowError
+        with pytest.raises(ValueError, match="lambda_mean"):
+            SourceParams(0.1, 10**400)
+        with pytest.raises(ValueError, match="pulse_freq_hz"):
+            SourceParams(0.1, 0.1, pulse_freq_hz=10**400)
+        assert SourceParams(np.float64(0.1), np.float64(0.1), np.float64(8e7)).lambda_mean == 0.1
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_rejected(self, bad):

@@ -5,6 +5,7 @@ Every subcommand but ``simulate`` starts from ``import bellcal.cli``, so a
 numpy import anywhere on that path costs each call most of its start-up time.
 """
 
+import ast
 import os
 import subprocess
 import sys
@@ -95,6 +96,25 @@ def test_no_dataclasses_on_any_path(tmp_path):
     assert result.returncode == 0, result.stderr
     if result.stdout.strip() == "preloaded":
         pytest.skip("the interpreter loads dataclasses before bellcal is imported")
+
+
+def test_only_montecarlo_imports_numpy():
+    # a static check: an import under TYPE_CHECKING or inside a function
+    # never runs in the tests above, but is still a numpy dependency
+    offenders = []
+    for path in sorted(Path(bellcal.__file__).parent.glob("*.py")):
+        if path.name == "montecarlo.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                modules = [node.module or ""]
+            else:
+                continue
+            if any(m == "numpy" or m.startswith("numpy.") for m in modules):
+                offenders.append(f"{path.name}:{node.lineno}")
+    assert not offenders, offenders
 
 
 def test_simulate_still_runs(tmp_path):

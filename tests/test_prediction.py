@@ -19,7 +19,6 @@ from bellcal import (
     sweep,
     to_physical,
     visibility,
-    visibility_linearized,
     xi,
 )
 
@@ -64,25 +63,14 @@ class TestVisibility:
 
 
 class TestVisibilityLinearized:
-    def test_formula(self):
-        assert visibility_linearized(0.1134, 0.0649) == pytest.approx(
-            1.0 - 0.5 * 0.0649 * (2.0 - 0.1134**2), rel=1e-14
-        )
-
-    def test_agrees_at_zero(self):
-        assert visibility_linearized(0.5, 0.0) == 1.0
-
     def test_exact_minus_linear_bounded_by_lambda_squared(self):
-        # the linearization always underestimates, by at most lambda^2
+        # the first-order visibility 1 - (lambda/2) xi(eta) always
+        # underestimates, by at most lambda^2
         for eta in np.linspace(0.02, 1.0, 15):
             for lam in np.linspace(1e-3, 0.5, 20):
                 gap = visibility(SourceParams(float(eta), float(lam)))
-                gap -= visibility_linearized(float(eta), float(lam))
+                gap -= 1.0 - 0.5 * float(lam) * xi(float(eta))
                 assert -1e-13 <= gap <= lam * lam
-
-    def test_negative_lambda_rejected(self):
-        with pytest.raises(ValueError):
-            visibility_linearized(0.5, -0.1)
 
 
 class TestPredictBell:
@@ -226,6 +214,11 @@ class TestSolveLambdaForRate:
     def test_bad_rate_rejected(self, bad):
         with pytest.raises(ValueError, match="rate"):
             solve_lambda_for_rate(bad, 0.1134)
+
+    # an int beyond float range used to raise OverflowError in the solve
+    def test_frequency_beyond_float_range_rejected(self):
+        with pytest.raises(ValueError, match="pulse_freq_hz"):
+            solve_lambda_for_rate(10.0, 0.1134, 10**400)
 
 
 class TestSweep:
