@@ -17,6 +17,8 @@ from .clicks import DEFAULT_PULSE_FREQ_HZ, _FLOAT_MAX, _check_solver_source, _Re
 from .clicks import _double_entangled, _double_entangled_slopes
 
 LAMBDA_BRACKET_CEILING = float(2**20)
+# the doubles and rate solves return once a Newton step in lambda is below this
+_LAMBDA_TOL = 1e-10
 
 
 class ModelError(Exception):
@@ -251,40 +253,35 @@ def solve_lambda_from_doubles(
     duration_s: float,
     eta: float,
     pulse_freq_hz: float = DEFAULT_PULSE_FREQ_HZ,
-    tol: float = 1e-10,
 ) -> float:
     """Mean pairs per pulse whose expected double count equals ``doubles``.
 
     The expected double count is strictly increasing in lambda at fixed
     eta > 0, so the root is unique; safeguarded Newton from the first-order
-    guess doubles / (f t eta^2) converges to |dlambda| < tol. The count may
-    be fractional (an expected value rather than a tally).
+    guess doubles / (f t eta^2) converges to |dlambda| < 1e-10. The count
+    may be fractional (an expected value rather than a tally).
 
     Raises BracketError if no bracket exists below the lambda ceiling, which
     happens when the observation exceeds every achievable count (more doubles
-    than pulses), and ValueError if the pulse count f t overflows.
+    than pulses), and ValueError if the pulse count f t overflows or
+    underflows to 0.
     """
     _check_solver_source(eta, pulse_freq_hz)
-    if not tol > 0.0:
-        raise ValueError(f"tol must be > 0, got {tol}")
     if not 0.0 <= doubles <= _FLOAT_MAX:
         raise ValueError(f"doubles must be finite and >= 0, got {doubles}")
     if not 0.0 < duration_s <= _FLOAT_MAX:
         raise ValueError(f"duration_s must be finite and > 0, got {duration_s}")
     pulses = pulse_freq_hz * duration_s
-    if pulses == math.inf:
+    if not 0.0 < pulses < math.inf:
         raise ValueError(
-            f"pulse_freq_hz * duration_s must be finite, got {pulse_freq_hz} * {duration_s}"
+            f"pulse_freq_hz * duration_s must be finite and > 0, "
+            f"got {pulse_freq_hz} * {duration_s}"
         )
 
-    return _lambda_for_doubles(
-        doubles, pulses, eta, tol, f"expected doubles never reach {doubles}"
-    )
+    return _lambda_for_doubles(doubles, pulses, eta, f"expected doubles never reach {doubles}")
 
 
-def _lambda_for_doubles(
-    target: float, pulses: float, eta: float, tol: float, unreached: str
-) -> float:
+def _lambda_for_doubles(target: float, pulses: float, eta: float, unreached: str) -> float:
     """Root in lambda of pulses * D(eta, lambda) = target, by _newton_lambda
     from the first-order guess target / (pulses eta^2); the caller has
     checked its inputs."""
@@ -294,7 +291,7 @@ def _lambda_for_doubles(
         double_slope, _ = _double_entangled_slopes(eta, lam)
         return pulses * double - target, pulses * double_slope
 
-    return _newton_lambda(excess, target / pulses / eta / eta, tol, unreached)
+    return _newton_lambda(excess, target / pulses / eta / eta, _LAMBDA_TOL, unreached)
 
 
 def fit_linear(points: Sequence[tuple[float, float]]) -> tuple[float, float, float]:
@@ -362,7 +359,6 @@ def calibrate(
     runs: Sequence[ExperimentRun],
     cert: BellCertificate | None = None,
     pulse_freq_hz: float = DEFAULT_PULSE_FREQ_HZ,
-    tol: float = 1e-10,
 ) -> CalibrationReport:
     """Run the full calibration pipeline on a set of measurement runs.
 
@@ -387,7 +383,7 @@ def calibrate(
         try:
             lambdas.append(
                 solve_lambda_from_doubles(
-                    run.doubles_observed, run.duration_s, eta_hat, pulse_freq_hz, tol
+                    run.doubles_observed, run.duration_s, eta_hat, pulse_freq_hz
                 )
             )
         except (BracketError, ValueError) as exc:

@@ -81,16 +81,13 @@ class ToolConfig(_Record):
     """Tool-level knobs; everything has a working default."""
 
     pulse_freq_hz: float = DEFAULT_PULSE_FREQ_HZ
-    lambda_tol: float = 1e-10
-    bell_tol: float = 1e-8
     decimals: int = 4
     certificate: BellCertificate = chsh_certificate()
 
     def _check(self) -> None:
-        for name in ("pulse_freq_hz", "lambda_tol", "bell_tol"):
-            value = getattr(self, name)
-            if not (_is_real(value) and 0.0 < value < math.inf):
-                raise ValueError(f"{name} must be a finite number > 0, got {value!r}")
+        value = self.pulse_freq_hz
+        if not (_is_real(value) and 0.0 < value < math.inf):
+            raise ValueError(f"pulse_freq_hz must be a finite number > 0, got {value!r}")
         # a huge precision would make every formatted cell that long
         if type(self.decimals) is not int or not 0 <= self.decimals <= 20:
             raise ValueError(f"decimals must be an integer in [0, 20], got {self.decimals!r}")
@@ -213,7 +210,9 @@ def write_report(
 ) -> None:
     """Serialize a calibration to JSON with full-precision floats; the
     certificate, fit and per-run objects carry their records' fields in
-    field order."""
+    field order. A pulse_freq_hz that read_report would refuse raises
+    ValueError before anything is written."""
+    _report_float("pulse_freq_hz", pulse_freq_hz)
     payload = {
         "schema": REPORT_SCHEMA,
         "pulse_freq_hz": pulse_freq_hz,
@@ -241,20 +240,24 @@ def read_report(
         per_run = tuple(
             _read_run_calibration(i, rc) for i, rc in enumerate(raw["per_run"])
         )
-        for key in ("eta_hat", "pulse_freq_hz"):
-            if not _is_real(raw[key]):
-                raise ValueError(f"{key} must be a number, got {raw[key]!r}")
-            if not math.isfinite(raw[key]):
-                raise ValueError(f"{key} must be finite, got {raw[key]}")
         report = CalibrationReport(
-            eta_hat=float(raw["eta_hat"]), per_run=per_run, fit=fit
+            eta_hat=_report_float("eta_hat", raw["eta_hat"]), per_run=per_run, fit=fit
         )
-        pulse_freq_hz = float(raw["pulse_freq_hz"])
-        if not pulse_freq_hz > 0.0:
-            raise ValueError(f"pulse_freq_hz must be > 0, got {pulse_freq_hz}")
+        pulse_freq_hz = _report_float("pulse_freq_hz", raw["pulse_freq_hz"])
     except (KeyError, TypeError, ValueError) as exc:
         raise ReportFileError(f"{path}: malformed report ({exc})") from exc
     return report, certificate, pulse_freq_hz
+
+
+def _report_float(key: str, value: object) -> float:
+    """A report's eta_hat or pulse_freq_hz as read_report accepts it."""
+    if not _is_real(value):
+        raise ValueError(f"{key} must be a number, got {value!r}")
+    if not math.isfinite(value):
+        raise ValueError(f"{key} must be finite, got {value}")
+    if key == "pulse_freq_hz" and not value > 0.0:
+        raise ValueError(f"pulse_freq_hz must be > 0, got {float(value)}")
+    return float(value)
 
 
 def _read_run_calibration(index: int, raw: dict) -> RunCalibration:
@@ -358,12 +361,7 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
                 f"--out {out_path}: writing {path} would overwrite the run file {runs_path}"
             )
     runs = read_run_file(runs_path)
-    report = calibrate(
-        runs,
-        cert=cfg.certificate,
-        pulse_freq_hz=cfg.pulse_freq_hz,
-        tol=cfg.lambda_tol,
-    )
+    report = calibrate(runs, cert=cfg.certificate, pulse_freq_hz=cfg.pulse_freq_hz)
 
     write_report(out_path, report, cfg.certificate, cfg.pulse_freq_hz)
     print(f"wrote {out_path}", file=sys.stderr)
@@ -413,10 +411,7 @@ def cmd_predict(args: argparse.Namespace) -> int:
             if rate < 0.0:
                 raise ValueError(f"--rates: rate must be >= 0, got {rate}")
         # the report's frequency, which the events/s column uses too
-        lambdas = [
-            solve_lambda_for_rate(rate, eta, pulse_freq_hz, cfg.lambda_tol)
-            for rate in rates
-        ]
+        lambdas = [solve_lambda_for_rate(rate, eta, pulse_freq_hz) for rate in rates]
 
     rows = []
     for lam in lambdas:
@@ -448,7 +443,6 @@ def cmd_extrapolate(args: argparse.Namespace) -> int:
                 target,
                 eta,
                 cert=certificate,
-                tol=cfg.bell_tol,
                 allow_below_classical=args.allow_below_classical,
             )
         except (InfeasibleTargetError, BracketError) as exc:
@@ -536,7 +530,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             v_z = (v_emp - vis) / v_spread if v_spread > 0.0 else math.nan
         else:
             v_emp, v_z = math.nan, math.nan
-        bell_expected = cfg.certificate.tsirelson_bound * args.visibility * vis
+        # the Monte Carlo simulates CHSH whatever the config's certificate
+        bell_expected = chsh_certificate().tsirelson_bound * args.visibility * vis
     else:
         v_emp, v_z, vis = math.nan, math.nan, math.nan
         bell_expected = math.nan

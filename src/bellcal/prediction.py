@@ -26,11 +26,17 @@ from .clicks import (
     ClickKind,
     DEFAULT_PULSE_FREQ_HZ,
     SourceParams,
+    _FLOAT_MAX,
     _check_solver_source,
     _double_entangled,
     _double_entangled_slopes,
     expected_rate,
 )
+
+# the Bell solve returns once a Newton step in lambda is below this, well
+# inside 1e-8, so that the returned power reproduces the target Bell value to
+# about 1e-8 (the line's slope exceeds 1)
+_BELL_LAMBDA_TOL = 1e-8 / 16.0
 
 
 class InfeasibleTargetError(ModelError):
@@ -114,7 +120,6 @@ def solve_lambda_for_rate(
     rate: float,
     eta: float,
     pulse_freq_hz: float = DEFAULT_PULSE_FREQ_HZ,
-    tol: float = 1e-10,
 ) -> float:
     """Pump power at which events_per_second equals a target rate.
 
@@ -124,8 +129,6 @@ def solve_lambda_for_rate(
     """
     if not 0.0 <= rate < math.inf:
         raise ValueError(f"target rate must be finite and >= 0, got {rate}")
-    if not tol > 0.0:
-        raise ValueError(f"tol must be > 0, got {tol}")
     if rate >= pulse_freq_hz:
         raise InfeasibleTargetError(
             f"target rate {rate} events/s is not below the pulse "
@@ -133,9 +136,7 @@ def solve_lambda_for_rate(
         )
 
     _check_solver_source(eta, pulse_freq_hz)
-    return _lambda_for_doubles(
-        rate, pulse_freq_hz, eta, tol, f"events/s never reach {rate}"
-    )
+    return _lambda_for_doubles(rate, pulse_freq_hz, eta, f"events/s never reach {rate}")
 
 
 def solve_lambda_for_bell(
@@ -143,7 +144,7 @@ def solve_lambda_for_bell(
     target_bell: float,
     eta: float,
     cert: BellCertificate | None = None,
-    tol: float = 1e-8,
+    *,
     allow_below_classical: bool = False,
 ) -> float:
     """Pump power at which the predicted Bell value equals the target.
@@ -156,9 +157,8 @@ def solve_lambda_for_bell(
     lambda ceiling (B(lambda) approaches -beta from above).
     """
     cert = chsh_certificate() if cert is None else cert
-    if not tol > 0.0:
-        raise ValueError(f"tol must be > 0, got {tol}")
-    if not math.isfinite(target_bell):
+    # <= _FLOAT_MAX, not isfinite: that raises OverflowError on an int beyond float range
+    if not abs(target_bell) <= _FLOAT_MAX:
         raise ValueError(f"target Bell value must be finite, got {target_bell}")
     intercept = fit.intercept_b
     if target_bell > intercept:
@@ -190,12 +190,10 @@ def solve_lambda_for_bell(
 
     # first-order guess from the fitted line b + a * lambda
     line_slope = fit.slope_a
-    # converge well inside tol so the returned power reproduces the target
-    # Bell value to comparable accuracy (the line's slope exceeds 1)
     return _newton_lambda(
         excess,
         (target_bell - intercept) / line_slope if line_slope < 0.0 else 1.0,
-        tol / 16.0,
+        _BELL_LAMBDA_TOL,
         f"predicted Bell value (floor {-fit.beta:.6f}) never falls to {target_bell}",
     )
 
@@ -215,7 +213,10 @@ def sweep(
     point, with the arithmetic of visibility, predict_bell and
     events_per_second, so each point equals what those return.
     """
-    grid = [float(lam) for lam in lambda_grid]
+    try:
+        grid = [float(lam) for lam in lambda_grid]
+    except OverflowError:  # an int beyond float range
+        raise ValueError("lambda_grid values must be finite and >= 0") from None
     if not grid:
         raise ValueError("lambda_grid must not be empty")
     if not all(0.0 <= lam < math.inf for lam in grid):

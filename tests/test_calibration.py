@@ -188,19 +188,17 @@ class TestSolveLambda:
         with pytest.raises(ValueError, match=r"^run 2: pulse_freq_hz \* duration_s"):
             calibrate(runs)
 
+    # f * t underflowed to 0: ZeroDivisionError in the first-order guess
+    def test_pulse_count_underflow_names_the_values(self):
+        with pytest.raises(ValueError, match=r"> 0, got 8\.6e-281 \* 8\.6e-281$"):
+            solve_lambda_from_doubles(0.0, 8.6e-281, 1.0, 8.6e-281)
+
     def test_eta_domain(self):
         run = ExperimentRun(1, 10, 0, 1.0)
         with pytest.raises(ValueError):
             solve_lambda_from_doubles(run.doubles_observed, run.duration_s, 0.0)
         with pytest.raises(ValueError):
             solve_lambda_from_doubles(run.doubles_observed, run.duration_s, 1.5)
-
-    def test_tolerance_must_be_positive(self):
-        run = ExperimentRun(1, 10, 0, 1.0)
-        with pytest.raises(ValueError):
-            solve_lambda_from_doubles(run.doubles_observed, run.duration_s, 0.5, tol=0.0)
-        with pytest.raises(ValueError):
-            solve_lambda_from_doubles(run.doubles_observed, run.duration_s, 0.5, tol=math.nan)
 
     def test_nan_in_the_solver_is_an_error_not_zero_power(self):
         # a curved excess with its root at 0.3; NaN on the n-th evaluation,

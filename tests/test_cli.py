@@ -16,6 +16,7 @@ from bellcal import (
     PhysicalFit,
     RunCalibration,
     SourceParams,
+    chsh_certificate,
     predict_bell,
 )
 from bellcal.cli import (
@@ -168,6 +169,17 @@ class TestCalibrate:
         assert result.returncode == 2, result.stderr
         assert result.stderr.startswith("error: runs.csv:3: ")
         assert reason in result.stderr
+
+    # f * t underflowed to 0: exit 1 with a ZeroDivisionError traceback
+    def test_pulse_count_underflow_names_the_run(self, tmp_path):
+        lines = bundled_runs_path().read_text().splitlines(keepends=True)
+        lines[1] = "1,37892989,549605351,1e-300,2.6502\n"
+        (tmp_path / "runs.csv").write_text("".join(lines))
+        (tmp_path / "cfg.json").write_text('{"pulse_freq_hz": 1e-30}')
+        result = run_cli("calibrate", "--runs", "runs.csv", "--config", "cfg.json", cwd=tmp_path)
+        assert result.returncode == 2, result.stderr
+        assert result.stderr.startswith("error: run 1: pulse_freq_hz * duration_s")
+        assert "Traceback" not in result.stderr
 
     # f * t overflowed to inf: "error: solver function is NaN at lambda = 0.0"
     def test_pulse_count_overflow_names_the_run(self, tmp_path):
@@ -414,6 +426,17 @@ class TestSimulate:
         other = (*self.ARGS[:-1], "13")
         assert run_cli(*self.ARGS, cwd=tmp_path).stdout != run_cli(*other, cwd=tmp_path).stdout
 
+    # the expected CHSH value came from the config's certificate, though the
+    # Monte Carlo simulates CHSH: a custom bound gave a false exit 3
+    def test_config_certificate_does_not_change_the_check(self, tmp_path):
+        cert = {"name": "custom", "tsirelson_bound": 3.0, "classical_bound": 2.0}
+        (tmp_path / "cfg.json").write_text(json.dumps({"certificate": cert}))
+        args = ("simulate", "--eta", "0.1134", "--lambda", "0.0849", "--pulses", "1000000")
+        plain = run_cli(*args, cwd=tmp_path)
+        configured = run_cli(*args, "--config", "cfg.json", cwd=tmp_path)
+        assert plain.returncode == configured.returncode == 0, configured.stdout
+        assert configured.stdout == plain.stdout
+
     def test_zero_power_renders_missing_cells(self, tmp_path):
         result = run_cli(
             "simulate", "--eta", "0.3", "--lambda", "0",
@@ -478,8 +501,11 @@ class TestConfig:
         assert "not valid JSON" in result.stderr
 
     # tail_tolerance and min_terms tuned a series cutoff the closed-form
-    # rates no longer have
-    @pytest.mark.parametrize("key", ["frobnicate", "tail_tolerance", "min_terms"])
+    # rates no longer have; lambda_tol and bell_tol set solver tolerances
+    # that are now fixed
+    @pytest.mark.parametrize(
+        "key", ["frobnicate", "tail_tolerance", "min_terms", "lambda_tol", "bell_tol"]
+    )
     def test_unknown_key_named(self, report_dir, tmp_path, key):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({key: 1}))
@@ -515,8 +541,8 @@ class TestConfig:
             ("decimals", True),
             ("pulse_freq_hz", "8e7"),
             ("pulse_freq_hz", 0),
-            ("lambda_tol", True),
-            ("bell_tol", None),
+            ("pulse_freq_hz", True),
+            ("pulse_freq_hz", None),
             ("certificate", {"name": 5, "tsirelson_bound": 2.8, "classical_bound": 2.0}),
             ("certificate", {"name": "X", "tsirelson_bound": "3", "classical_bound": 2.0}),
             ("certificate", {"name": "X", "tsirelson_bound": 2.8, "classical_bound": True}),
@@ -682,6 +708,15 @@ def reports(draw):
 
 
 class TestReportRoundTrip:
+    # a report with such a frequency used to be written, and read_report
+    # then refused it
+    @pytest.mark.parametrize("pulse_freq_hz", [0.0, -1.0, float("nan"), float("inf"), True])
+    def test_unreadable_frequency_not_written(self, tmp_path, reference_report, pulse_freq_hz):
+        path = tmp_path / "report.json"
+        with pytest.raises(ValueError, match="^pulse_freq_hz must be "):
+            write_report(path, reference_report, chsh_certificate(), pulse_freq_hz)
+        assert not path.exists()
+
     @settings(derandomize=True, max_examples=300, deadline=None)
     @given(report=reports(), certificate=certificates(), pulse_freq_hz=POSITIVE)
     def test_read_returns_what_was_written(

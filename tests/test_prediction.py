@@ -184,12 +184,24 @@ class TestSolveLambdaForBell:
                 fit, 0.5, fit.eta_used, allow_below_classical=True
             )
 
-    def test_tolerance_validation(self, reference_report):
+    # the override followed a tol argument, so an old positional tolerance
+    # would set it without an error
+    def test_override_is_keyword_only(self, reference_report):
         fit = reference_report.fit
-        with pytest.raises(ValueError):
-            solve_lambda_for_bell(fit, 2.5, fit.eta_used, tol=-1.0)
+        with pytest.raises(TypeError):
+            solve_lambda_for_bell(fit, 2.4, fit.eta_used, None, 1e-8)
 
-    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    # ints beyond float range used to raise OverflowError
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            math.nan,
+            math.inf,
+            -math.inf,
+            pytest.param(10**400, id="10**400"),
+            pytest.param(-(10**400), id="-10**400"),
+        ],
+    )
     def test_non_finite_target_rejected(self, reference_report, bad):
         fit = reference_report.fit
         with pytest.raises(ValueError, match="finite"):
@@ -272,7 +284,15 @@ class TestSweep:
             assert point.events_per_second == events_per_second(params)
 
     @pytest.mark.parametrize(
-        "grid", [[0.0, math.nan], [math.nan, 0.1], [0.1, math.inf], [-math.inf, 0.1]]
+        "grid",
+        [
+            [0.0, math.nan],
+            [math.nan, 0.1],
+            [0.1, math.inf],
+            [-math.inf, 0.1],
+            # an int beyond float range used to raise OverflowError
+            pytest.param([0.0, 10**400], id="10**400"),
+        ],
     )
     def test_non_finite_grid_rejected(self, reference_report, grid):
         fit = reference_report.fit

@@ -61,15 +61,9 @@ RECORDS = [
     ),
     (
         ToolConfig,
-        ("pulse_freq_hz", "lambda_tol", "bell_tol", "decimals", "certificate"),
-        (5e7, 1e-9, 1e-7, 6, BellCertificate("CHSH-like", 2.5, 2.0)),
-        {
-            "pulse_freq_hz": 8e7,
-            "lambda_tol": 1e-10,
-            "bell_tol": 1e-8,
-            "decimals": 4,
-            "certificate": chsh_certificate(),
-        },
+        ("pulse_freq_hz", "decimals", "certificate"),
+        (5e7, 6, BellCertificate("CHSH-like", 2.5, 2.0)),
+        {"pulse_freq_hz": 8e7, "decimals": 4, "certificate": chsh_certificate()},
     ),
     (SimConfig, ("n_pulses", "seed", "block_size"), (1000, 7, 256), {"block_size": 1 << 16}),
     (

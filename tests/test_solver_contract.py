@@ -114,41 +114,40 @@ class TestEvaluationBudget:
         assert values[0] == slopes[0] > 0
 
 
-# Round trips: the solver stops within tol of the root of the rounded
-# forward value; rounding that value moves the root by a few ulps times
-# rate / slope, which stays below 1e-12 for lambda <= 3.
+# Round trips: the doubles and rate solves stop within 1e-10 of the root of
+# the rounded forward value; rounding that value moves the root by a few ulps
+# times rate / slope, which stays below 1e-12 for lambda <= 3.
 etas = st.floats(0.01, 1.0)
 lambdas = st.floats(0.0, 3.0)
-tols = st.floats(1e-12, 1e-6)
 
 
 @PROPERTY
-@given(eta=etas, lam=lambdas, duration=st.floats(1.0, 1e4), tol=tols)
-def test_doubles_round_trip(eta, lam, duration, tol):
+@given(eta=etas, lam=lambdas, duration=st.floats(1.0, 1e4))
+def test_doubles_round_trip(eta, lam, duration):
     count = expected_doubles_count(SourceParams(eta, lam), duration)
-    assert solve_lambda_from_doubles(count, duration, eta, tol=tol) == pytest.approx(
-        lam, rel=0, abs=tol + 1e-12
+    assert solve_lambda_from_doubles(count, duration, eta) == pytest.approx(
+        lam, rel=0, abs=1e-10 + 1e-12
     )
 
 
 @PROPERTY
-@given(eta=etas, lam=lambdas, freq=st.floats(1e3, 1e9), tol=tols)
-def test_rate_round_trip(eta, lam, freq, tol):
+@given(eta=etas, lam=lambdas, freq=st.floats(1e3, 1e9))
+def test_rate_round_trip(eta, lam, freq):
     rate = events_per_second(SourceParams(eta, lam, freq))
-    assert solve_lambda_for_rate(rate, eta, freq, tol=tol) == pytest.approx(
-        lam, rel=0, abs=tol + 1e-12
+    assert solve_lambda_for_rate(rate, eta, freq) == pytest.approx(
+        lam, rel=0, abs=1e-10 + 1e-12
     )
 
 
 @PROPERTY
-@given(lam=st.floats(1e-9, 3.0), tol=st.floats(1e-10, 1e-6))
-def test_bell_round_trip(reference_report, lam, tol):
-    # the solver converges to tol / 16 in lambda; |dB/dlambda| > 0.1 here,
+@given(lam=st.floats(1e-9, 3.0))
+def test_bell_round_trip(reference_report, lam):
+    # the solver converges to 1e-8 / 16 in lambda; |dB/dlambda| > 0.1 here,
     # so the rounding of B moves the root by well under 1e-12
     fit = reference_report.fit
     target = predict_bell(fit, SourceParams(fit.eta_used, lam))
-    solved = solve_lambda_for_bell(fit, target, fit.eta_used, tol=tol, allow_below_classical=True)
-    assert solved == pytest.approx(lam, rel=0, abs=tol / 16 + 1e-12)
+    solved = solve_lambda_for_bell(fit, target, fit.eta_used, allow_below_classical=True)
+    assert solved == pytest.approx(lam, rel=0, abs=1e-8 / 16 + 1e-12)
 
 
 def consistent_fit(alpha, beta, eta):
@@ -181,24 +180,24 @@ def test_bell_nonincreasing_in_power(alpha, beta, eta, lam1, lam2):
 finite = st.floats(allow_nan=False, allow_infinity=False)
 
 
-def _solves_or_refuses(solve, *args):
+def _solves_or_refuses(solve, *args, **kwargs):
     try:
-        lam = solve(*args)
+        lam = solve(*args, **kwargs)
     except (ValueError, ModelError):
         return
     assert 0.0 <= lam < math.inf
 
 
 @PROPERTY
-@given(doubles=finite, duration=finite, eta=finite, freq=finite, tol=finite)
-def test_doubles_solve_raises_only_domain_errors(doubles, duration, eta, freq, tol):
-    _solves_or_refuses(solve_lambda_from_doubles, doubles, duration, eta, freq, tol)
+@given(doubles=finite, duration=finite, eta=finite, freq=finite)
+def test_doubles_solve_raises_only_domain_errors(doubles, duration, eta, freq):
+    _solves_or_refuses(solve_lambda_from_doubles, doubles, duration, eta, freq)
 
 
 @PROPERTY
-@given(rate=finite, eta=finite, freq=finite, tol=finite)
-def test_rate_solve_raises_only_domain_errors(rate, eta, freq, tol):
-    _solves_or_refuses(solve_lambda_for_rate, rate, eta, freq, tol)
+@given(rate=finite, eta=finite, freq=finite)
+def test_rate_solve_raises_only_domain_errors(rate, eta, freq):
+    _solves_or_refuses(solve_lambda_for_rate, rate, eta, freq)
 
 
 @PROPERTY
@@ -208,10 +207,9 @@ def test_rate_solve_raises_only_domain_errors(rate, eta, freq, tol):
     eta_used=finite,
     eta=st.one_of(st.just(None), finite),
     target=finite,
-    tol=finite,
     below=st.booleans(),
 )
-def test_bell_solve_raises_only_domain_errors(alpha, beta, eta_used, eta, target, tol, below):
+def test_bell_solve_raises_only_domain_errors(alpha, beta, eta_used, eta, target, below):
     try:
         fit = consistent_fit(alpha, beta, eta_used)
     except ValueError:  # a field overflowed to inf
@@ -222,6 +220,5 @@ def test_bell_solve_raises_only_domain_errors(alpha, beta, eta_used, eta, target
         target,
         eta_used if eta is None else eta,
         chsh_certificate(),
-        tol,
-        below,
+        allow_below_classical=below,
     )
